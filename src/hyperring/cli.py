@@ -16,7 +16,6 @@ from .core import (
     HyperRing,
     RawRing,
     make_zn_multiplier_ring,
-    structure_properties,
     validate_structure,
 )
 from .corpus import DEFAULT_CONFIG, generate_corpus, worked_example_records
@@ -277,7 +276,7 @@ def cmd_props(args, out) -> int:
     except ValidationError as exc:
         out.write(f"invalid: {exc}\nwitness: {_fmt(exc.witness)}\n")
         return EXIT_SEMANTIC
-    props = structure_properties(ring)
+    props = ring.props
     pairs = [
         ("ring", ring.name),
         ("commutative", props.commutative),

@@ -193,19 +193,6 @@ def power_orbit(ring: HyperRing, x: int) -> tuple:
     return tuple(seen)
 
 
-def set_power_orbit(ring: HyperRing, xs: Iterable[int]) -> tuple:
-    """Like :func:`power_orbit` but starting from an arbitrary subset."""
-    base = ring.check_subset(xs)
-    seen = []
-    seen_keys = set()
-    acc = base
-    while acc not in seen_keys:
-        seen.append(acc)
-        seen_keys.add(acc)
-        acc = set_product(ring, acc, base)
-    return tuple(seen)
-
-
 def is_nilpotent(ring: HyperRing, x: int) -> bool:
     """True iff 0 lies in some power of x."""
     zero = ring.zero
@@ -357,18 +344,6 @@ def identity_flavor_at(ring: HyperRing, e: int) -> str:
     return _flavor_at(ring.order, ring.product_of, e)
 
 
-def _scan_identity(n, hyp) -> tuple:
-    """Return (element, flavor) for the best identity candidate, if any."""
-    best = (None, FLAVOR_NONE)
-    for e in range(n):
-        flavor = _flavor_at(n, lambda a, b: hyp[a][b], e)
-        if flavor == FLAVOR_SCALAR:
-            return (e, FLAVOR_SCALAR)
-        if flavor == FLAVOR_WEAK and best[1] == FLAVOR_NONE:
-            best = (e, FLAVOR_WEAK)
-    return best
-
-
 def validate_structure(raw: RawRing) -> HyperRing:
     """Exhaustively verify every axiom and return the validated ring.
 
@@ -393,14 +368,6 @@ def validate_structure(raw: RawRing) -> HyperRing:
     (strongly,) = _check_distributive(n, add, hyp)
     _check_sign_law(n, neg, hyp)
 
-    zero = raw.zero
-    commutative = all(
-        hyp[a][b] == hyp[b][a] for a in range(n) for b in range(a + 1, n)
-    )
-    zset = frozenset((zero,))
-    absorbing = all(hyp[zero][r] == zset and hyp[r][zero] == zset for r in range(n))
-
-    e, flavor = _scan_identity(n, hyp)
     if raw.identity is not None:
         claimed_flavor = raw.identity_flavor or FLAVOR_WEAK
         actual = _flavor_at(n, lambda a, b: hyp[a][b], raw.identity)
@@ -413,43 +380,39 @@ def validate_structure(raw: RawRing) -> HyperRing:
                 witness=(raw.identity,),
             )
 
-    props = StructureProps(
-        commutative=commutative,
-        strongly_distributive=strongly,
-        zero_absorbing=absorbing,
-        identity=e,
-        identity_flavor=flavor,
-    )
-    return HyperRing(n, zero, add, neg, hyp, raw.name, props, raw.tags)
+    props = _scan_properties(n, raw.zero, add, hyp, strongly=strongly)
+    return HyperRing(n, raw.zero, add, neg, hyp, raw.name, props, raw.tags)
 
 
-def structure_properties(ring: HyperRing) -> StructureProps:
-    """Recompute the property record exhaustively (validation is idempotent)."""
-    n = ring.order
-    prod = ring.product_of
-    add = ring.add_of
-    commutative = all(prod(a, b) == prod(b, a) for a in range(n) for b in range(a + 1, n))
-    strongly = True
+def _strongly_distributive(n, add, hyp) -> bool:
+    """Whether both distributive inclusions hold with equality everywhere."""
     for a in range(n):
+        hyp_a = hyp[a]
         for b in range(n):
+            ab, ba, add_b = hyp_a[b], hyp[b][a], add[b]
             for c in range(n):
-                if prod(a, add(b, c)) != set_sum(ring, prod(a, b), prod(a, c)):
-                    strongly = False
-                    break
-                if prod(add(b, c), a) != set_sum(ring, prod(b, a), prod(c, a)):
-                    strongly = False
-                    break
-            if not strongly:
-                break
-        if not strongly:
-            break
-    zset = frozenset((ring.zero,))
-    absorbing = all(
-        prod(ring.zero, r) == zset and prod(r, ring.zero) == zset for r in range(n)
-    )
+                bc = add_b[c]
+                if hyp_a[bc] != {add[x][y] for x in ab for y in hyp_a[c]}:
+                    return False
+                if hyp[bc][a] != {add[x][y] for x in ba for y in hyp[c][a]}:
+                    return False
+    return True
+
+
+def _scan_properties(n, zero, add, hyp, strongly=None) -> StructureProps:
+    """The property record of valid tables.
+
+    ``strongly`` is passed in by :func:`validate_structure`, whose
+    distributivity sweep has already decided it.
+    """
+    if strongly is None:
+        strongly = _strongly_distributive(n, add, hyp)
+    commutative = all(hyp[a][b] == hyp[b][a] for a in range(n) for b in range(a + 1, n))
+    zset = frozenset((zero,))
+    absorbing = all(hyp[zero][r] == zset and hyp[r][zero] == zset for r in range(n))
     best = (None, FLAVOR_NONE)
     for e in range(n):
-        flavor = identity_flavor_at(ring, e)
+        flavor = _flavor_at(n, lambda a, b: hyp[a][b], e)
         if flavor == FLAVOR_SCALAR:
             best = (e, FLAVOR_SCALAR)
             break
@@ -462,6 +425,25 @@ def structure_properties(ring: HyperRing) -> StructureProps:
         identity=best[0],
         identity_flavor=best[1],
     )
+
+
+def structure_properties(ring: HyperRing) -> StructureProps:
+    """Recompute the property record of a table-backed ring exhaustively.
+
+    Validation is idempotent: this equals ``ring.props``.
+    """
+    return _scan_properties(ring.order, ring.zero, ring.add, ring.hyp)
+
+
+def trusted_ring(order, zero, add, neg, hyp, name, tags=()) -> HyperRing:
+    """Wrap tables that satisfy every axiom by construction, unvalidated.
+
+    Only for structures derived from validated rings, whose axioms follow
+    by a transfer argument (quotients, small products); anything parsed or
+    built from outside input goes through :func:`validate_structure`.  The
+    property record still comes from the exhaustive scan.
+    """
+    return HyperRing(order, zero, add, neg, hyp, name, _scan_properties(order, zero, add, hyp), tags)
 
 
 # ---------------------------------------------------------------------------

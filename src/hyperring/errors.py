@@ -88,10 +88,6 @@ class NotInvariant(HyperRingError):
     """The endomorphism does not preserve the ideal, so no induced map exists."""
 
 
-class NotWellDefined(HyperRingError):
-    """A quotient construction produced representative-dependent results."""
-
-
 class CapExceeded(HyperRingError):
     """An enumeration would exceed its configured size cap."""
 

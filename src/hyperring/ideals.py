@@ -549,10 +549,6 @@ def sum_ideals(ring: HyperRing, left: HyperIdeal, right: HyperIdeal) -> HyperIde
     return as_hyperideal(ring, members)
 
 
-def intersect_ideals(ring: HyperRing, left: HyperIdeal, right: HyperIdeal) -> HyperIdeal:
-    return as_hyperideal(ring, left.elements & right.elements)
-
-
 # ---------------------------------------------------------------------------
 # zero divisors and integral hyperdomains
 

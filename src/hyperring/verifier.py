@@ -128,23 +128,8 @@ def _alpha_prime_intersection(ring: HyperRing, alpha: Homomorphism) -> frozenset
 
 
 @lru_cache(maxsize=None)
-def _kernel(alpha: Homomorphism) -> HyperIdeal:
-    return kernel(alpha)
-
-
-@lru_cache(maxsize=None)
 def _nil_alpha(ring: HyperRing, alpha: Homomorphism) -> frozenset:
     return alpha_nilradical(ring, alpha)
-
-
-@lru_cache(maxsize=None)
-def _alpha_rad(ring: HyperRing, elements: frozenset, alpha: Homomorphism) -> frozenset:
-    return alpha_radical(ring, elements, alpha)
-
-
-@lru_cache(maxsize=None)
-def _zero_divisor_cosets(quotient) -> frozenset:
-    return zero_divisors(quotient.ring)
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +217,7 @@ def h_radical_proper(inst):
 
 
 def h_alpha_radical_proper(inst):
-    rad = _alpha_rad(inst.ring, inst.ideal.elements, inst.alpha)
+    rad = alpha_radical(inst.ring, inst.ideal.elements, inst.alpha)
     return len(rad) < inst.ring.order
 
 
@@ -270,15 +255,15 @@ def h_zero_ideal_c(inst):
 
 
 def h_kernel_proper(inst):
-    return _kernel(inst.alpha).proper
+    return kernel(inst.alpha).proper
 
 
 def h_kernel_inside_ideal(inst):
-    return _kernel(inst.alpha).elements <= inst.ideal.elements
+    return kernel(inst.alpha).elements <= inst.ideal.elements
 
 
 def h_alpha_preserves_kernel(inst):
-    return _alpha_invariant(inst.alpha, _kernel(inst.alpha).elements)
+    return _alpha_invariant(inst.alpha, kernel(inst.alpha).elements)
 
 
 def h_alpha_preserves_ideal(inst):
@@ -288,7 +273,7 @@ def h_alpha_preserves_ideal(inst):
 def h_t18_premise(inst):
     ring, ideal, alpha = inst.ring, inst.ideal, inst.alpha
     els = ideal.elements
-    rad = _alpha_rad(ring, els, alpha)
+    rad = alpha_radical(ring, els, alpha)
     prod = ring.product_of
     n = ring.order
     for a in range(n):
@@ -344,8 +329,8 @@ def h_image_proper(inst):
 
 def h_kernel_containment_any(inst):
     els = inst.ideal.elements
-    ka = _kernel(inst.alpha).elements <= els
-    kf = _kernel(inst.hom).elements <= els
+    ka = kernel(inst.alpha).elements <= els
+    kf = kernel(inst.hom).elements <= els
     return ka or kf
 
 
@@ -604,7 +589,7 @@ def _r10(inst, witness):
 
 
 def _c11(inst):
-    ker = _kernel(inst.alpha)
+    ker = kernel(inst.alpha)
     inter = _alpha_prime_intersection(inst.ring, inst.alpha)
     x = _violation_element(ker.elements, inter)
     if x is not None:
@@ -614,7 +599,7 @@ def _c11(inst):
 
 def _r11(inst, witness):
     x = witness[1]
-    if x not in _kernel(inst.alpha).elements:
+    if x not in kernel(inst.alpha).elements:
         return False
     for ideal in enumerate_hyperideals(inst.ring):
         if (
@@ -627,7 +612,7 @@ def _r11(inst, witness):
 
 
 def _c12(inst):
-    ker = _kernel(inst.alpha)
+    ker = kernel(inst.alpha)
     pair = prime_violation(inst.ring, ker)
     if pair is not None:
         return False, ("pair", pair[0], pair[1])
@@ -636,7 +621,7 @@ def _c12(inst):
 
 def _r12(inst, witness):
     _tag, x, y = witness
-    ker = _kernel(inst.alpha).elements
+    ker = kernel(inst.alpha).elements
     return inst.ring.product_of(x, y) <= ker and x not in ker and y not in ker
 
 
@@ -659,7 +644,7 @@ def _r13(inst, witness):
 def _c14(inst):
     ring, alpha = inst.ring, inst.alpha
     nil = _nil_alpha(ring, alpha)
-    rad = _alpha_rad(ring, zero_ideal(ring).elements, alpha)
+    rad = alpha_radical(ring, zero_ideal(ring).elements, alpha)
     missing = _violation_element(nil, rad)
     if missing is not None:
         return False, ("subset_violation", missing)
@@ -671,7 +656,7 @@ def _c14(inst):
 
 def _r14(inst, witness):
     nil = _nil_alpha(inst.ring, inst.alpha)
-    rad = _alpha_rad(inst.ring, zero_ideal(inst.ring).elements, inst.alpha)
+    rad = alpha_radical(inst.ring, zero_ideal(inst.ring).elements, inst.alpha)
     x = witness[1]
     if witness[0] == "subset_violation":
         return x in nil and x not in rad
@@ -681,20 +666,20 @@ def _r14(inst, witness):
 def _c15(inst):
     ring, alpha = inst.ring, inst.alpha
     ideals = enumerate_hyperideals(ring)
-    rad = {i.elements: _alpha_rad(ring, i.elements, alpha) for i in ideals}
+    rad = {i.elements: alpha_radical(ring, i.elements, alpha) for i in ideals}
     for a in ideals:
         ea = a.elements
         for b in ideals:
             eb = b.elements
             if ea <= eb and not rad[ea] <= rad[eb]:
                 return False, ("monotone", tuple(sorted(ea)), tuple(sorted(eb)))
-            prod_rad = _alpha_rad(ring, set_product(ring, ea, eb), alpha)
-            meet_rad = _alpha_rad(ring, ea & eb, alpha)
+            prod_rad = alpha_radical(ring, set_product(ring, ea, eb), alpha)
+            meet_rad = alpha_radical(ring, ea & eb, alpha)
             if not (prod_rad == meet_rad == rad[ea] & rad[eb]):
                 return False, ("product_law", tuple(sorted(ea)), tuple(sorted(eb)))
             if _alpha_invariant(alpha, ea) and _alpha_invariant(alpha, eb):
-                sum_rad = _alpha_rad(ring, set_sum(ring, ea, eb), alpha)
-                outer = _alpha_rad(ring, set_sum(ring, rad[ea], rad[eb]), alpha)
+                sum_rad = alpha_radical(ring, set_sum(ring, ea, eb), alpha)
+                outer = alpha_radical(ring, set_sum(ring, rad[ea], rad[eb]), alpha)
                 if not sum_rad <= outer:
                     return False, ("sum_law", tuple(sorted(ea)), tuple(sorted(eb)))
     return True, None
@@ -704,23 +689,23 @@ def _r15(inst, witness):
     ring, alpha = inst.ring, inst.alpha
     law, ea, eb = witness
     ea, eb = frozenset(ea), frozenset(eb)
-    ra = _alpha_rad(ring, ea, alpha)
-    rb = _alpha_rad(ring, eb, alpha)
+    ra = alpha_radical(ring, ea, alpha)
+    rb = alpha_radical(ring, eb, alpha)
     if law == "monotone":
         return ea <= eb and not ra <= rb
     if law == "product_law":
-        prod_rad = _alpha_rad(ring, set_product(ring, ea, eb), alpha)
-        meet_rad = _alpha_rad(ring, ea & eb, alpha)
+        prod_rad = alpha_radical(ring, set_product(ring, ea, eb), alpha)
+        meet_rad = alpha_radical(ring, ea & eb, alpha)
         return not (prod_rad == meet_rad == ra & rb)
-    sum_rad = _alpha_rad(ring, set_sum(ring, ea, eb), alpha)
-    outer = _alpha_rad(ring, set_sum(ring, ra, rb), alpha)
+    sum_rad = alpha_radical(ring, set_sum(ring, ea, eb), alpha)
+    outer = alpha_radical(ring, set_sum(ring, ra, rb), alpha)
     return not sum_rad <= outer
 
 
 def _c16(inst):
     ring, alpha = inst.ring, inst.alpha
     els = inst.ideal.elements
-    rad = _alpha_rad(ring, els, alpha)
+    rad = alpha_radical(ring, els, alpha)
     full = ring.order
     if (len(rad) == full) != (len(els) == full):
         return False, ("fullness", tuple(sorted(els)))
@@ -729,7 +714,7 @@ def _c16(inst):
         acc = els
         while acc not in seen:
             seen.add(acc)
-            if _alpha_rad(ring, acc, alpha) != rad:
+            if alpha_radical(ring, acc, alpha) != rad:
                 return False, ("power_radical", tuple(sorted(acc)))
             acc = set_product(ring, acc, els)
     return True, None
@@ -739,10 +724,10 @@ def _r16(inst, witness):
     ring, alpha = inst.ring, inst.alpha
     els = inst.ideal.elements
     if witness[0] == "fullness":
-        rad = _alpha_rad(ring, els, alpha)
+        rad = alpha_radical(ring, els, alpha)
         return (len(rad) == ring.order) != (len(els) == ring.order)
     power = frozenset(witness[1])
-    return _alpha_rad(ring, power, alpha) != _alpha_rad(ring, els, alpha)
+    return alpha_radical(ring, power, alpha) != alpha_radical(ring, els, alpha)
 
 
 def _c17(inst):
@@ -751,15 +736,15 @@ def _c17(inst):
     a_src, a_tgt = inst.alpha, inst.alpha_target
     i1 = inst.ideal.elements
     i2 = inst.ideal_target.elements
-    rad_i1 = _alpha_rad(src, i1, a_src)
+    rad_i1 = alpha_radical(src, i1, a_src)
     f_i1 = f.image_of(i1)
-    rad_f_i1 = _alpha_rad(tgt, f_i1, a_tgt)
+    rad_f_i1 = alpha_radical(tgt, f_i1, a_tgt)
     bad = _violation_element(f.image_of(rad_i1), rad_f_i1)
     if bad is not None:
         return False, ("image_law", bad)
     pre_i2 = f.preimage_of(i2)
-    rad_pre = _alpha_rad(src, pre_i2, a_src)
-    pre_rad = f.preimage_of(_alpha_rad(tgt, i2, a_tgt))
+    rad_pre = alpha_radical(src, pre_i2, a_src)
+    pre_rad = f.preimage_of(alpha_radical(tgt, i2, a_tgt))
     bad = _violation_element(rad_pre, pre_rad)
     if bad is not None:
         return False, ("preimage_law", bad)
@@ -775,21 +760,21 @@ def _r17(inst, witness):
     src, tgt = f.source, f.target
     tag, x = witness
     if tag == "image_law":
-        rad_i1 = _alpha_rad(src, inst.ideal.elements, inst.alpha)
-        rad_f = _alpha_rad(tgt, f.image_of(inst.ideal.elements), inst.alpha_target)
+        rad_i1 = alpha_radical(src, inst.ideal.elements, inst.alpha)
+        rad_f = alpha_radical(tgt, f.image_of(inst.ideal.elements), inst.alpha_target)
         return x in f.image_of(rad_i1) and x not in rad_f
     if tag == "preimage_law":
-        rad_pre = _alpha_rad(src, f.preimage_of(inst.ideal_target.elements), inst.alpha)
-        pre_rad = f.preimage_of(_alpha_rad(tgt, inst.ideal_target.elements, inst.alpha_target))
+        rad_pre = alpha_radical(src, f.preimage_of(inst.ideal_target.elements), inst.alpha)
+        pre_rad = f.preimage_of(alpha_radical(tgt, inst.ideal_target.elements, inst.alpha_target))
         return x in rad_pre and x not in pre_rad
-    rad_i1 = _alpha_rad(src, inst.ideal.elements, inst.alpha)
-    rad_f = _alpha_rad(tgt, f.image_of(inst.ideal.elements), inst.alpha_target)
+    rad_i1 = alpha_radical(src, inst.ideal.elements, inst.alpha)
+    rad_f = alpha_radical(tgt, f.image_of(inst.ideal.elements), inst.alpha_target)
     return x in rad_f and x not in f.image_of(rad_i1)
 
 
 def _c18(inst):
     ring, alpha = inst.ring, inst.alpha
-    rad = _alpha_rad(ring, inst.ideal.elements, alpha)
+    rad = alpha_radical(ring, inst.ideal.elements, alpha)
     bad = hyperideal_violation(ring, rad)
     if bad is not None:
         return False, ("not_hyperideal", bad)
@@ -801,7 +786,7 @@ def _c18(inst):
 
 
 def _r18(inst, witness):
-    rad = _alpha_rad(inst.ring, inst.ideal.elements, inst.alpha)
+    rad = alpha_radical(inst.ring, inst.ideal.elements, inst.alpha)
     if witness[0] == "not_hyperideal":
         return hyperideal_violation(inst.ring, rad) is not None
     _tag, x, y = witness
@@ -813,7 +798,7 @@ def _t19_rhs_violation(inst):
     quotient = quotient_ring(inst.ring, inst.ideal)
     amap = inst.alpha.map
     els = inst.ideal.elements
-    for c in sorted(_zero_divisor_cosets(quotient)):
+    for c in sorted(zero_divisors(quotient.ring)):
         members = quotient.cosets[c]
         if not all(amap[x] in els for x in members):
             return c
@@ -836,7 +821,7 @@ def _r19(inst, witness):
     if witness[0] == "coset":
         c = witness[1]
         quotient = quotient_ring(inst.ring, inst.ideal)
-        if c not in _zero_divisor_cosets(quotient):
+        if c not in zero_divisors(quotient.ring):
             return False
         amap = inst.alpha.map
         els = inst.ideal.elements
@@ -856,7 +841,7 @@ def _r19(inst, witness):
 def _t20_rhs_violation(inst):
     quotient = quotient_ring(inst.ring, inst.ideal)
     zero_c = quotient.ring.zero
-    zds = sorted(c for c in _zero_divisor_cosets(quotient) if c != zero_c)
+    zds = sorted(c for c in zero_divisors(quotient.ring) if c != zero_c)
     return zds[0] if zds else None
 
 
@@ -878,7 +863,7 @@ def _r20(inst, witness):
         quotient = quotient_ring(inst.ring, inst.ideal)
         return (
             c != quotient.ring.zero
-            and c in _zero_divisor_cosets(quotient)
+            and c in zero_divisors(quotient.ring)
             and prime_violation(inst.ring, inst.ideal) is None
         )
     _tag, x, y = witness
@@ -893,7 +878,7 @@ def _r20(inst, witness):
 
 def _c21(inst):
     ring, alpha = inst.ring, inst.alpha
-    ker = _kernel(alpha)
+    ker = kernel(alpha)
     quotient = quotient_ring(ring, ker)
     image = _quotient_image(quotient, inst.ideal.elements)
     lhs_pair = alpha_prime_violation(ring, inst.ideal, alpha)
@@ -909,7 +894,7 @@ def _c21(inst):
 
 def _r21(inst, witness):
     ring, alpha = inst.ring, inst.alpha
-    ker = _kernel(alpha)
+    ker = kernel(alpha)
     quotient = quotient_ring(ring, ker)
     image = _quotient_image(quotient, inst.ideal.elements).elements
     if witness[0] == "quotient_pair":
@@ -982,9 +967,9 @@ def _t23_sides(inst):
 def _c23(inst):
     els = inst.ideal.elements
     readings = []
-    if _kernel(inst.alpha).elements <= els:
+    if kernel(inst.alpha).elements <= els:
         readings.append("kernel_of_alpha")
-    if _kernel(inst.hom).elements <= els:
+    if kernel(inst.hom).elements <= els:
         readings.append("kernel_of_map")
     lhs_pair, rhs_pair = _t23_sides(inst)
     lhs = lhs_pair is None

@@ -7,12 +7,15 @@ exact: the oracles are finite and discrete).
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hyperring
 from hyperring import (
     RawRing,
     catalog,
@@ -259,6 +262,11 @@ def test_c6_falsification_ledger():
 
 def test_c7_determinism(tmp_path):
     start = time.time()
+    # The child runs in a fresh cwd, so a relative PYTHONPATH would not reach
+    # the package; hand it the absolute source root.
+    src = str(Path(hyperring.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outputs = []
     for run in range(2):
         workdir = tmp_path / f"run{run}"
@@ -270,6 +278,7 @@ def test_c7_determinism(tmp_path):
             text=True,
             timeout=1200,
             cwd=str(workdir),
+            env=env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outputs.append((proc.stdout, (workdir / "report.json").read_bytes()))

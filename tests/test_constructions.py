@@ -17,7 +17,22 @@ from hyperring import (
     scale_endomorphism,
     trivial_ring,
 )
-from hyperring.errors import BadEndomorphism, CapExceeded, NotInvariant, NotProper
+from hyperring.constructions import ProductBackedRing, ProductRing, _derived_product_props
+from hyperring.errors import (
+    BadEndomorphism,
+    CapExceeded,
+    HyperRingError,
+    NotInvariant,
+    NotProper,
+)
+from hyperring.ideals import HyperIdeal
+
+
+def _computed_product(left, right):
+    """The product on the computed backend, whatever its order."""
+    props = _derived_product_props(left, right, right.order)
+    ring = ProductBackedRing(left, right, f"({left.name}x{right.name})", props)
+    return ProductRing(left, right, ring)
 
 
 class TestQuotient:
@@ -34,6 +49,12 @@ class TestQuotient:
         for a in range(2):
             for b in range(2):
                 assert quotient.ring.product_of(a, b) == frozenset({zero})
+
+    def test_hand_built_non_ideal_rejected(self):
+        ring = make_zn_multiplier_ring(4, [1])
+        fake = HyperIdeal(ring, frozenset({0, 1}), proper=True)
+        with pytest.raises(HyperRingError):
+            quotient_ring(ring, fake)
 
     def test_quotient_by_zero_is_isomorphic_copy(self, r6):
         quotient = quotient_ring(r6, as_hyperideal(r6, {0}))
@@ -133,8 +154,9 @@ class TestProduct:
         assert product.pair_of(13) == (2, 3)
 
     def test_computed_backend_matches_tables(self, r6, r5):
-        full = product_ring(r6, r5, full_check=True)
-        lazy = product_ring(r6, r5, full_check=False)
+        full = product_ring(r6, r5)
+        lazy = _computed_product(r6, r5)
+        assert full.ring.has_tables and not lazy.ring.has_tables
         assert full.ring.props == lazy.ring.props
         for a in range(30):
             assert full.ring.neg_of(a) == lazy.ring.neg_of(a)
@@ -143,8 +165,8 @@ class TestProduct:
                 assert full.ring.product_of(a, b) == lazy.ring.product_of(a, b)
 
     def test_alpha_prime_same_on_both_backends(self, r6, r5, i03):
-        full = product_ring(r6, r5, full_check=True)
-        lazy = product_ring(r6, r5, full_check=False)
+        full = product_ring(r6, r5)
+        lazy = _computed_product(r6, r5)
         for product in (full, lazy):
             box = product_ideal(product, i03.elements, frozenset(range(5)))
             abar = product_endomorphism(
