@@ -8,10 +8,15 @@ order and no floating-point content, so runs are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import shutil
 import sys
+import tempfile
+from collections import Counter, defaultdict
 
-from .constructions import product_ring, quotient_ring
+from .constructions import PRODUCT_TABLE_LIMIT, product_ring, quotient_ring
 from .core import (
     HyperRing,
     RawRing,
@@ -19,7 +24,7 @@ from .core import (
     validate_structure,
 )
 from .corpus import DEFAULT_CONFIG, generate_corpus, worked_example_records
-from .errors import HyperRingError, NotProper, ValidationError
+from .errors import CapExceeded, HyperRingError, ValidationError
 from .ideals import (
     DEFAULT_ENUM_CAP,
     alpha_nilradical,
@@ -40,11 +45,14 @@ from .verifier import (
     KIND_RING_ALPHA,
     KIND_RING_ALPHA_IDEAL,
     KIND_RING_IDEAL,
+    STATUS_FAILS,
+    STATUS_HOLDS,
+    STATUS_NOT_MET,
+    STATUS_UNDECIDED,
     catalog_ids,
-    render_report,
-    run_suite,
-    summarize,
-    unledgered_failures,
+    iter_suite,
+    ledgered_theorems,
+    write_report,
 )
 
 EXIT_OK = 0
@@ -61,6 +69,13 @@ class ParseFailure(Exception):
 # input documents
 
 
+def _capped_order(order: int) -> int:
+    """Parsed rings are capped at the largest table the package builds itself."""
+    if order > PRODUCT_TABLE_LIMIT:
+        raise CapExceeded(f"ring order {order} exceeds the cap {PRODUCT_TABLE_LIMIT}")
+    return order
+
+
 def parse_ring_spec(doc: dict) -> HyperRing:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseFailure("ring spec must be an object with a 'kind' field")
@@ -68,14 +83,14 @@ def parse_ring_spec(doc: dict) -> HyperRing:
     name = doc.get("name")
     if kind == "zn_multiplier":
         try:
-            modulus = int(doc["modulus"])
+            modulus = _capped_order(int(doc["modulus"]))
             multipliers = [int(m) for m in doc["multipliers"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseFailure(f"bad zn_multiplier spec: {exc}") from exc
         return make_zn_multiplier_ring(modulus, multipliers, name=name)
     if kind == "table":
         try:
-            order = int(doc["order"])
+            order = _capped_order(int(doc["order"]))
             zero = int(doc["zero"])
             add = [[int(v) for v in row] for row in doc["add"]]
             neg = [int(v) for v in doc["neg"]]
@@ -116,12 +131,12 @@ def parse_ideal_spec(ring: HyperRing, spec: str):
     if spec.startswith("{"):
         try:
             doc = json.loads(spec)
-        except json.JSONDecodeError as exc:
+            if "elements" in doc:
+                return ("elements", [int(v) for v in doc["elements"]])
+            if "generators" in doc:
+                return ("generators", [int(v) for v in doc["generators"]])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseFailure(f"bad ideal spec: {exc}") from exc
-        if "elements" in doc:
-            return ("elements", [int(v) for v in doc["elements"]])
-        if "generators" in doc:
-            return ("generators", [int(v) for v in doc["generators"]])
         raise ParseFailure("ideal spec object needs 'elements' or 'generators'")
     if spec.startswith("gen:"):
         body = spec[len("gen:"):]
@@ -158,15 +173,15 @@ def parse_endo_spec(ring: HyperRing, spec: str):
     if spec.startswith("{"):
         try:
             doc = json.loads(spec)
-        except json.JSONDecodeError as exc:
+            kind = doc.get("kind")
+            if kind == "scale":
+                spec = f"scale:{int(doc['factor'])}"
+            elif kind == "map":
+                spec = "map:" + ",".join(str(int(v)) for v in doc["image"])
+            else:
+                raise ParseFailure("endomorphism spec object needs kind scale|map")
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseFailure(f"bad endomorphism spec: {exc}") from exc
-        kind = doc.get("kind")
-        if kind == "scale":
-            spec = f"scale:{int(doc['factor'])}"
-        elif kind == "map":
-            spec = "map:" + ",".join(str(int(v)) for v in doc["image"])
-        else:
-            raise ParseFailure("endomorphism spec object needs kind scale|map")
     if spec.startswith("scale:"):
         try:
             factor = int(spec[len("scale:"):])
@@ -246,9 +261,6 @@ def emit_record(pairs, as_json: bool, out) -> None:
 def cmd_validate(args, out) -> int:
     try:
         ring = load_ring(args.ring)
-    except ParseFailure as exc:
-        out.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
     except ValidationError as exc:
         out.write(f"invalid: {exc}\nwitness: {_fmt(exc.witness)}\n")
         return EXIT_SEMANTIC
@@ -270,9 +282,6 @@ def cmd_validate(args, out) -> int:
 def cmd_props(args, out) -> int:
     try:
         ring = load_ring(args.ring)
-    except ParseFailure as exc:
-        out.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
     except ValidationError as exc:
         out.write(f"invalid: {exc}\nwitness: {_fmt(exc.witness)}\n")
         return EXIT_SEMANTIC
@@ -290,16 +299,9 @@ def cmd_props(args, out) -> int:
 
 
 def cmd_classify(args, out) -> int:
-    try:
-        ring = load_ring(args.ring)
-        subset, ideal, witness = resolve_ideal(ring, args.ideal)
-        alpha = parse_endo_spec(ring, args.alpha) if args.alpha else None
-    except ParseFailure as exc:
-        out.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except (ValidationError, HyperRingError) as exc:
-        out.write(f"invalid: {exc}\n")
-        return EXIT_SEMANTIC
+    ring = load_ring(args.ring)
+    subset, ideal, witness = resolve_ideal(ring, args.ideal)
+    alpha = parse_endo_spec(ring, args.alpha) if args.alpha else None
     pairs = [("ring", ring.name), ("elements", subset)]
     if ideal is None:
         pairs.append(("hyperideal", False))
@@ -334,16 +336,9 @@ def cmd_classify(args, out) -> int:
 
 
 def cmd_radical(args, out) -> int:
-    try:
-        ring = load_ring(args.ring)
-        subset, ideal, witness = resolve_ideal(ring, args.ideal)
-        alpha = parse_endo_spec(ring, args.alpha) if args.alpha else None
-    except ParseFailure as exc:
-        out.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except (ValidationError, HyperRingError) as exc:
-        out.write(f"invalid: {exc}\n")
-        return EXIT_SEMANTIC
+    ring = load_ring(args.ring)
+    subset, ideal, witness = resolve_ideal(ring, args.ideal)
+    alpha = parse_endo_spec(ring, args.alpha) if args.alpha else None
     if ideal is None:
         out.write(f"invalid: not a hyperideal, witness: {_fmt(witness)}\n")
         return EXIT_SEMANTIC
@@ -357,32 +352,17 @@ def cmd_radical(args, out) -> int:
         ("forms_agree", inter == dset),
     ]
     if alpha is not None:
-        try:
-            pairs.append(("alpha", alpha.name))
-            pairs.append(("alpha_radical", alpha_radical(ring, ideal.elements, alpha)))
-        except HyperRingError as exc:
-            out.write(f"invalid: {exc}\n")
-            return EXIT_SEMANTIC
+        pairs.append(("alpha", alpha.name))
+        pairs.append(("alpha_radical", alpha_radical(ring, ideal.elements, alpha)))
     emit_record(pairs, args.json, out)
     return EXIT_OK
 
 
 def cmd_alpharadical(args, out) -> int:
-    try:
-        ring = load_ring(args.ring)
-        subset, _ideal, _witness = resolve_ideal(ring, args.ideal)
-        alpha = parse_endo_spec(ring, args.alpha)
-    except ParseFailure as exc:
-        out.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except (ValidationError, HyperRingError) as exc:
-        out.write(f"invalid: {exc}\n")
-        return EXIT_SEMANTIC
-    try:
-        rad = alpha_radical(ring, subset, alpha)
-    except HyperRingError as exc:
-        out.write(f"invalid: {exc}\n")
-        return EXIT_SEMANTIC
+    ring = load_ring(args.ring)
+    subset, _ideal, _witness = resolve_ideal(ring, args.ideal)
+    alpha = parse_endo_spec(ring, args.alpha)
+    rad = alpha_radical(ring, subset, alpha)
     emit_record(
         [("ring", ring.name), ("subset", subset), ("alpha", alpha.name),
          ("alpha_radical", rad)],
@@ -392,15 +372,8 @@ def cmd_alpharadical(args, out) -> int:
 
 
 def cmd_nil(args, out) -> int:
-    try:
-        ring = load_ring(args.ring)
-        alpha = parse_endo_spec(ring, args.alpha) if args.alpha else None
-    except ParseFailure as exc:
-        out.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except (ValidationError, HyperRingError) as exc:
-        out.write(f"invalid: {exc}\n")
-        return EXIT_SEMANTIC
+    ring = load_ring(args.ring)
+    alpha = parse_endo_spec(ring, args.alpha) if args.alpha else None
     pairs = [("ring", ring.name), ("nilradical", nilradical(ring))]
     if alpha is not None:
         pairs.append(("alpha", alpha.name))
@@ -410,42 +383,18 @@ def cmd_nil(args, out) -> int:
 
 
 def cmd_quotient(args, out) -> int:
-    try:
-        ring = load_ring(args.ring)
-        _subset, ideal, witness = resolve_ideal(ring, args.ideal)
-    except ParseFailure as exc:
-        out.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except (ValidationError, HyperRingError) as exc:
-        out.write(f"invalid: {exc}\n")
-        return EXIT_SEMANTIC
+    ring = load_ring(args.ring)
+    _subset, ideal, witness = resolve_ideal(ring, args.ideal)
     if ideal is None:
         out.write(f"invalid: not a hyperideal, witness: {_fmt(witness)}\n")
         return EXIT_SEMANTIC
-    try:
-        quotient = quotient_ring(ring, ideal)
-    except NotProper as exc:
-        out.write(f"invalid: {exc}\n")
-        return EXIT_SEMANTIC
+    quotient = quotient_ring(ring, ideal)
     out.write(emit_ring_spec(quotient.ring))
     return EXIT_OK
 
 
 def cmd_product(args, out) -> int:
-    try:
-        left = load_ring(args.ring)
-        right = load_ring(args.ring2)
-    except ParseFailure as exc:
-        out.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except (ValidationError, HyperRingError) as exc:
-        out.write(f"invalid: {exc}\n")
-        return EXIT_SEMANTIC
-    try:
-        product = product_ring(left, right)
-    except HyperRingError as exc:
-        out.write(f"invalid: {exc}\n")
-        return EXIT_SEMANTIC
+    product = product_ring(load_ring(args.ring), load_ring(args.ring2))
     if not product.ring.has_tables:
         out.write(f"product too large to emit tables (order {product.ring.order})\n")
         return EXIT_SEMANTIC
@@ -454,19 +403,8 @@ def cmd_product(args, out) -> int:
 
 
 def cmd_endos(args, out) -> int:
-    try:
-        ring = load_ring(args.ring)
-    except ParseFailure as exc:
-        out.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except (ValidationError, HyperRingError) as exc:
-        out.write(f"invalid: {exc}\n")
-        return EXIT_SEMANTIC
-    try:
-        endos = enumerate_endomorphisms(ring, args.max_order)
-    except HyperRingError as exc:
-        out.write(f"invalid: {exc}\n")
-        return EXIT_SEMANTIC
+    ring = load_ring(args.ring)
+    endos = enumerate_endomorphisms(ring, args.max_order)
     if args.json:
         doc = {
             "ring": ring.name,
@@ -525,54 +463,83 @@ def _load_corpus_file(path: str):
     return instances
 
 
+def _verify_records(instances, selection, include_examples: bool):
+    """The suite's records, then the worked examples when asked for."""
+    yield from iter_suite(instances, selection)
+    if include_examples:
+        yield from worked_example_records()
+
+
+def _counted(records, per_theorem: defaultdict):
+    """Yield ``records`` unchanged, counting each status per theorem."""
+    for record in records:
+        per_theorem[record.theorem][record.status] += 1
+        yield record
+
+
+def _status_counts(counts: Counter) -> str:
+    return (
+        f"holds={counts[STATUS_HOLDS]} fails={counts[STATUS_FAILS]} "
+        f"not_met={counts[STATUS_NOT_MET]} undecided={counts[STATUS_UNDECIDED]}"
+    )
+
+
+def _write_report_file(records, path: str) -> None:
+    """Write the report through a temporary file next to ``path`` and move
+    it into place at the end, so a run that stops part way leaves no
+    truncated report."""
+    partial = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            write_report(records, handle)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
+
+
 def cmd_verify(args, out) -> int:
+    """Stream every record into the report, keeping only per-theorem counts;
+    the summary follows, then (with ``--json``) the report is copied out."""
     selection = None
     if args.theorems:
         selection = [t.strip() for t in args.theorems.split(",") if t.strip()]
         unknown = set(selection) - set(catalog_ids())
         if unknown:
-            out.write(f"parse error: unknown theorem ids {sorted(unknown)}\n")
-            return EXIT_PARSE
+            raise ParseFailure(f"unknown theorem ids {sorted(unknown)}")
     if args.corpus == "default":
         instances = generate_corpus(DEFAULT_CONFIG)
         include_examples = selection is None
     else:
-        try:
-            instances = _load_corpus_file(args.corpus)
-        except ParseFailure as exc:
-            out.write(f"parse error: {exc}\n")
-            return EXIT_PARSE
+        instances = _load_corpus_file(args.corpus)
         include_examples = False
-    records = run_suite(instances, selection)
-    if include_examples:
-        records = list(records) + worked_example_records()
-    counts = summarize(records)
-    per_theorem = {}
-    for record in records:
-        slot = per_theorem.setdefault(
-            record.theorem,
-            {"holds": 0, "fails": 0, "hypotheses_not_met": 0, "undecided": 0},
-        )
-        slot[record.status] += 1
-    for tid in sorted(per_theorem):
-        slot = per_theorem[tid]
-        out.write(
-            f"{tid} holds={slot['holds']} fails={slot['fails']} "
-            f"not_met={slot['hypotheses_not_met']} undecided={slot['undecided']}\n"
-        )
-    out.write(
-        f"total records={len(records)} holds={counts['holds']} "
-        f"fails={counts['fails']} not_met={counts['hypotheses_not_met']} "
-        f"undecided={counts['undecided']}\n"
-    )
-    bad = unledgered_failures(records)
-    out.write(f"unledgered_failures={len(bad)}\n")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(render_report(records))
-        out.write(f"report written: {args.report}\n")
-    if args.json:
-        out.write(render_report(records))
+    per_theorem = defaultdict(Counter)
+    records = _counted(_verify_records(instances, selection, include_examples), per_theorem)
+    with contextlib.ExitStack() as stack:
+        report = None
+        if args.report:
+            _write_report_file(records, args.report)
+            if args.json:
+                report = stack.enter_context(open(args.report, encoding="utf-8"))
+        elif args.json:
+            report = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+            write_report(records, report)
+            report.seek(0)
+        else:
+            for _record in records:
+                pass
+        totals = sum(per_theorem.values(), Counter())
+        for tid in sorted(per_theorem):
+            out.write(f"{tid} {_status_counts(per_theorem[tid])}\n")
+        out.write(f"total records={totals.total()} {_status_counts(totals)}\n")
+        ledgered = ledgered_theorems()
+        bad = sum(c[STATUS_FAILS] for tid, c in per_theorem.items() if tid not in ledgered)
+        out.write(f"unledgered_failures={bad}\n")
+        if args.report:
+            out.write(f"report written: {args.report}\n")
+        if report is not None:
+            shutil.copyfileobj(report, out)
     if args.strict and bad:
         return EXIT_STRICT
     return EXIT_OK
@@ -681,10 +648,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=None) -> int:
+    """Run one subcommand; a parse failure exits 2 and any other package
+    error exits 1, each with a one-line message and no traceback."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, out)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args, out)
+    except ParseFailure as exc:
+        out.write(f"parse error: {exc}\n")
+        return EXIT_PARSE
+    except HyperRingError as exc:
+        out.write(f"invalid: {exc}\n")
+        return EXIT_SEMANTIC
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ plugging the witness back into the violated predicate.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -1510,12 +1511,14 @@ def reverify_witness(instance: Instance, theorem: TheoremCheck, witness) -> bool
     return bool(theorem.recheck(instance, witness))
 
 
-def run_suite(corpus, selection=None):
-    """Evaluate every selected check on every instance of matching kind.
+def iter_suite(corpus, selection=None):
+    """Evaluate every selected check on every instance of matching kind, lazily.
 
     Records appear in corpus order, catalog order within an instance;
     pairs whose instance does not carry the check's components are
     skipped as inapplicable.  Output is deterministic for a fixed corpus.
+    ``selection`` is checked here, so unknown ids raise ``ValueError``
+    before any record is produced.
     """
     checks = catalog()
     if selection is not None:
@@ -1524,13 +1527,17 @@ def run_suite(corpus, selection=None):
         if unknown:
             raise ValueError(f"unknown theorem ids: {sorted(unknown)}")
         checks = tuple(c for c in checks if c.tid in wanted)
-    reports = []
-    for instance in corpus:
-        for theorem in checks:
-            if instance.kind != theorem.signature:
-                continue
-            reports.append(check(instance, theorem))
-    return reports
+    return (
+        check(instance, theorem)
+        for instance in corpus
+        for theorem in checks
+        if instance.kind == theorem.signature
+    )
+
+
+def run_suite(corpus, selection=None):
+    """Every record of :func:`iter_suite`, as a list."""
+    return list(iter_suite(corpus, selection))
 
 
 # ---------------------------------------------------------------------------
@@ -1558,10 +1565,26 @@ def report_record(verdict: VerdictReport) -> dict:
     }
 
 
+def write_report(verdicts, handle) -> None:
+    """Write the report document to ``handle`` one record at a time.
+
+    The document is one stable JSON array of fixed-field-order records,
+    one per line.  ``verdicts`` may be a one-shot iterable: no record is
+    kept after it is written.
+    """
+    written = False
+    for verdict in verdicts:
+        handle.write(",\n" if written else "[\n")
+        handle.write(json.dumps(report_record(verdict), separators=(", ", ": ")))
+        written = True
+    handle.write("\n]\n" if written else "[]\n")
+
+
 def render_report(verdicts) -> str:
-    """One stable JSON document: an array of fixed-field-order records."""
-    lines = [json.dumps(report_record(v), separators=(", ", ": ")) for v in verdicts]
-    return "[\n" + ",\n".join(lines) + "\n]\n" if lines else "[]\n"
+    """The report document of :func:`write_report`, as a string."""
+    buffer = io.StringIO()
+    write_report(verdicts, buffer)
+    return buffer.getvalue()
 
 
 def summarize(verdicts) -> dict:

@@ -1,16 +1,19 @@
 import io
 import json
+import time
 
 import pytest
 
+from hyperring import cli, verifier
 from hyperring.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SEMANTIC,
+    _load_corpus_file,
     emit_ring_spec,
     main,
 )
-from hyperring import make_zn_multiplier_ring
+from hyperring import make_zn_multiplier_ring, render_report, run_suite
 
 
 @pytest.fixture()
@@ -31,10 +34,33 @@ def r12_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def corpus_file(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([
+        {
+            "ring": {"kind": "zn_multiplier", "modulus": 6, "multipliers": [2], "name": "R6"},
+            "ideal": "0,3",
+            "alpha": "scale:3",
+        },
+        {
+            "ring": {"kind": "zn_multiplier", "modulus": 5, "multipliers": [2], "name": "R5"},
+            "alpha": "zero",
+        },
+    ]))
+    return str(path)
+
+
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def write_spec(tmp_path, doc) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestValidate:
@@ -67,6 +93,70 @@ class TestValidate:
         path.write_text("not json")
         code, text = run_cli("validate", "--ring", str(path))
         assert code == EXIT_PARSE
+
+
+class TestErrorExits:
+    """Bad input ends in an exit code and a one-line message; calling
+    ``main`` directly means any exception that escapes fails the test."""
+
+    @pytest.mark.parametrize("command", ["validate", "props"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "zn_multiplier", "modulus": 1, "multipliers": [1]},
+            {"kind": "zn_multiplier", "modulus": 6, "multipliers": []},
+        ],
+        ids=["modulus-1", "no-multipliers"],
+    )
+    def test_bad_residue_ring_exit_1(self, tmp_path, command, doc):
+        code, text = run_cli(command, "--ring", write_spec(tmp_path, doc))
+        assert code == EXIT_SEMANTIC
+        assert text.startswith("invalid: ")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--ideal", '{"elements":"ab"}'],
+            ["--ideal", '{"generators":null}'],
+            ["--ideal", "0", "--alpha", '{"kind":"scale"}'],
+            ["--ideal", "0", "--alpha", '{"kind":"map","image":"ab"}'],
+        ],
+        ids=["elements-not-ints", "generators-null", "scale-no-factor", "map-not-ints"],
+    )
+    def test_bad_json_spec_exit_2(self, r6_file, extra):
+        code, text = run_cli("classify", "--ring", r6_file, *extra)
+        assert code == EXIT_PARSE
+        assert text.startswith("parse error: ")
+
+    @pytest.mark.parametrize("command", ["radical", "classify"])
+    def test_enumeration_cap_exit_1(self, tmp_path, command):
+        doc = {"kind": "zn_multiplier", "modulus": 18, "multipliers": [1, 17]}
+        code, text = run_cli(command, "--ring", write_spec(tmp_path, doc), "--ideal", "gen:2")
+        assert code == EXIT_SEMANTIC
+        assert text.startswith("invalid: ") and "capped" in text
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "zn_multiplier", "modulus": 10**6, "multipliers": [1]},
+            {"kind": "table", "order": 257},
+        ],
+        ids=["zn-modulus", "table-order"],
+    )
+    def test_parsed_order_cap_exit_1_before_any_table(self, tmp_path, monkeypatch, doc):
+        # Building the table of a 10**6 ring would exhaust memory, so the
+        # builders fail the test at once instead.
+        def no_table(*_args, **_kwargs):
+            raise AssertionError("a table was built for an over-cap ring")
+
+        monkeypatch.setattr(cli, "make_zn_multiplier_ring", no_table)
+        monkeypatch.setattr(cli, "validate_structure", no_table)
+        path = write_spec(tmp_path, doc)
+        start = time.perf_counter()
+        code, text = run_cli("validate", "--ring", path)
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_SEMANTIC
+        assert "exceeds the cap 256" in text
 
 
 class TestClassify:
@@ -165,21 +255,8 @@ class TestVerify:
         assert report.read_text() == "[]\n"
         assert "total records=0" in text
 
-    def test_file_corpus_with_instances(self, tmp_path):
-        corpus = [
-            {
-                "ring": {"kind": "zn_multiplier", "modulus": 6, "multipliers": [2], "name": "R6"},
-                "ideal": "0,3",
-                "alpha": "scale:3",
-            },
-            {
-                "ring": {"kind": "zn_multiplier", "modulus": 5, "multipliers": [2], "name": "R5"},
-                "alpha": "zero",
-            },
-        ]
-        path = tmp_path / "corpus.json"
-        path.write_text(json.dumps(corpus))
-        code, text = run_cli("verify", "--corpus", str(path))
+    def test_file_corpus_with_instances(self, corpus_file):
+        code, text = run_cli("verify", "--corpus", corpus_file)
         assert code == EXIT_OK
         assert "T22 holds=1" in text
         assert "T11 holds=0 fails=1" in text
@@ -218,6 +295,39 @@ class TestVerify:
         path.write_text("[]")
         code, _ = run_cli("verify", "--corpus", str(path), "--theorems", "T99")
         assert code == EXIT_PARSE
+
+
+class TestVerifyReport:
+    def test_report_file_and_json_stdout_hold_the_rendered_report(self, tmp_path, corpus_file):
+        expected = render_report(run_suite(_load_corpus_file(corpus_file)))
+        report = tmp_path / "report.json"
+        code, text = run_cli("verify", "--corpus", corpus_file, "--report", str(report), "--json")
+        assert code == EXIT_OK
+        assert report.read_text() == expected
+        summary, marker, printed = text.partition(f"report written: {report}\n")
+        assert marker and printed == expected
+        assert summary.endswith("unledgered_failures=0\n")
+        code, alone = run_cli("verify", "--corpus", corpus_file, "--json")
+        assert code == EXIT_OK
+        assert alone == summary + expected
+
+    def test_run_that_stops_part_way_leaves_no_report(self, tmp_path, corpus_file, monkeypatch):
+        real_check = verifier.check
+        calls = []
+
+        def check_then_fail(instance, theorem):
+            calls.append(theorem.tid)
+            if len(calls) == 3:
+                raise RuntimeError("stopped part way")
+            return real_check(instance, theorem)
+
+        monkeypatch.setattr(verifier, "check", check_then_fail)
+        report = tmp_path / "report.json"
+        with pytest.raises(RuntimeError):
+            run_cli("verify", "--corpus", corpus_file, "--report", str(report))
+        assert len(calls) == 3
+        assert not report.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
 
 
 class TestCorpusCommand:

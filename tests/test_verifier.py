@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from hyperring import (
     catalog,
     catalog_ids,
     check,
+    iter_suite,
     make_zn_multiplier_ring,
     render_report,
     reverify_witness,
@@ -14,6 +16,7 @@ from hyperring import (
     scale_endomorphism,
     summarize,
     unledgered_failures,
+    write_report,
 )
 from hyperring.corpus import CorpusConfig, generate_corpus, worked_example_records
 from hyperring.errors import SignatureMismatch
@@ -26,6 +29,7 @@ from hyperring.verifier import (
     STATUS_HOLDS,
     STATUS_NOT_MET,
     ledgered_theorems,
+    report_record,
 )
 
 SMALL_CONFIG = CorpusConfig(
@@ -122,6 +126,16 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite([], selection=["T99"])
 
+    def test_iter_suite_rejects_unknown_ids_before_iteration(self):
+        with pytest.raises(ValueError):
+            iter_suite([], selection=["T99"])
+
+    def test_iter_suite_is_lazy_and_matches_run_suite(self):
+        corpus = generate_corpus(SMALL_CONFIG)
+        records = iter_suite(corpus, selection=["T19", "T25"])
+        assert not isinstance(records, list)
+        assert list(records) == run_suite(corpus, selection=["T19", "T25"])
+
     def test_small_corpus_all_failures_ledgered(self):
         corpus = generate_corpus(SMALL_CONFIG)
         reports = run_suite(corpus)
@@ -183,6 +197,19 @@ class TestReportRendering:
 
     def test_empty_report(self):
         assert render_report([]) == "[]\n"
+
+    @pytest.mark.parametrize("config", [SMALL_CONFIG, None], ids=["small", "empty"])
+    def test_streamed_report_matches_joined_document(self, config):
+        # The reference is the report format written out in full: records
+        # joined by ",\n" inside "[\n" and "\n]\n", or "[]\n" when empty.
+        corpus = generate_corpus(config) if config else []
+        verdicts = run_suite(corpus, selection=["T19", "T25"])
+        lines = [json.dumps(report_record(v), separators=(", ", ": ")) for v in verdicts]
+        expected = "[\n" + ",\n".join(lines) + "\n]\n" if lines else "[]\n"
+        handle = io.StringIO()
+        write_report((v for v in verdicts), handle)
+        assert handle.getvalue() == expected
+        assert render_report(verdicts) == expected
 
     def test_rendering_is_deterministic(self):
         corpus = generate_corpus(SMALL_CONFIG)
