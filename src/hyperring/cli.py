@@ -463,10 +463,14 @@ def _load_corpus_file(path: str):
     return instances
 
 
-def _verify_records(instances, selection, include_examples: bool):
-    """The suite's records, then the worked examples when asked for."""
-    yield from iter_suite(instances, selection)
-    if include_examples:
+def _verify_records(corpus: str, selection):
+    """The suite's records, then (on the whole default corpus) the worked
+    examples; the corpus is built on the first pull, after the report opens."""
+    if corpus != "default":
+        yield from iter_suite(_load_corpus_file(corpus), selection)
+        return
+    yield from iter_suite(generate_corpus(DEFAULT_CONFIG), selection)
+    if selection is None:
         yield from worked_example_records()
 
 
@@ -487,15 +491,19 @@ def _status_counts(counts: Counter) -> str:
 def _write_report_file(records, path: str) -> None:
     """Write the report through a temporary file next to ``path`` and move
     it into place at the end, so a run that stops part way leaves no
-    truncated report."""
+    truncated report.  A path that cannot take the report is a parse failure."""
     partial = f"{path}.{os.getpid()}.tmp"
     try:
+        if os.path.isdir(path):
+            raise ParseFailure(f"cannot write report {path}: Is a directory")
         with open(partial, "w", encoding="utf-8") as handle:
             write_report(records, handle)
         os.replace(partial, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(partial)
+        if isinstance(exc, OSError):
+            raise ParseFailure(f"cannot write report {path}: {exc.strerror or exc}") from None
         raise
 
 
@@ -508,14 +516,8 @@ def cmd_verify(args, out) -> int:
         unknown = set(selection) - set(catalog_ids())
         if unknown:
             raise ParseFailure(f"unknown theorem ids {sorted(unknown)}")
-    if args.corpus == "default":
-        instances = generate_corpus(DEFAULT_CONFIG)
-        include_examples = selection is None
-    else:
-        instances = _load_corpus_file(args.corpus)
-        include_examples = False
     per_theorem = defaultdict(Counter)
-    records = _counted(_verify_records(instances, selection, include_examples), per_theorem)
+    records = _counted(_verify_records(args.corpus, selection), per_theorem)
     with contextlib.ExitStack() as stack:
         report = None
         if args.report:

@@ -17,7 +17,6 @@ straight from the factors, with properties derived componentwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (
     FLAVOR_NONE,
@@ -26,6 +25,7 @@ from .core import (
     HyperRing,
     StructureProps,
     fmt_set,
+    memoized,
     trusted_ring,
 )
 from .errors import (
@@ -63,7 +63,7 @@ class QuotientRing:
         return self.cosets[c]
 
 
-@lru_cache(maxsize=None)
+@memoized
 def quotient_ring(base: HyperRing, ideal: HyperIdeal) -> QuotientRing:
     """Build R/I from one representative per coset, without re-validation.
 
@@ -111,7 +111,7 @@ def quotient_ring(base: HyperRing, ideal: HyperIdeal) -> QuotientRing:
     return QuotientRing(base, ideal, cosets, ring, projection)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def induced_quotient_endo(quotient: QuotientRing, alpha: Homomorphism) -> Homomorphism:
     """alpha* on R/J: alpha*(x + J) = alpha(x) + J.
 
@@ -273,6 +273,7 @@ def product_ring(
     return ProductRing(left, right, ring)
 
 
+@memoized
 def product_ideal(product: ProductRing, left_part, right_part) -> HyperIdeal:
     """I1 x I2 as a hyperideal of the product (fully verified)."""
     o2 = product.right.order
@@ -282,7 +283,7 @@ def product_ideal(product: ProductRing, left_part, right_part) -> HyperIdeal:
     return as_hyperideal(product.ring, members)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def product_endomorphism(
     product: ProductRing,
     left_alpha: Homomorphism,

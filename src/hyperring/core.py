@@ -8,8 +8,11 @@ printed is sorted first.
 
 from __future__ import annotations
 
+import functools
+import inspect
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -63,10 +66,11 @@ class HyperRing:
 
     Instances are immutable after construction and hashable by identity;
     do not build them directly, use :func:`validate_structure` or one of
-    the trusted constructors.
+    the trusted constructors.  The one mutable part is ``memo``, where
+    :func:`memoized` results for this ring live exactly as long as it does.
     """
 
-    __slots__ = ("order", "zero", "name", "add", "neg", "hyp", "props", "tags")
+    __slots__ = ("order", "zero", "name", "add", "neg", "hyp", "props", "tags", "memo", "__weakref__")
 
     def __init__(self, order, zero, add, neg, hyp, name, props, tags=()):
         object.__setattr__(self, "order", order)
@@ -77,6 +81,7 @@ class HyperRing:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "props", props)
         object.__setattr__(self, "tags", tuple(tags))
+        object.__setattr__(self, "memo", {})
 
     def __setattr__(self, key, value):
         raise AttributeError("HyperRing is immutable")
@@ -132,6 +137,50 @@ def fmt_set(xs: Iterable[int]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# per-ring memo
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
+_MEMO_RINGS = weakref.WeakSet()  # rings whose memo holds an entry
+
+
+def memoized(fn):
+    """Keep ``fn(first, *rest)`` in the memo of the ring that owns ``first``:
+    ``first`` itself, a homomorphism's ``source``, or the ``ring`` of a
+    quotient or product.  Omitted arguments are keyed by their defaults.
+    ``cache_info()`` counts hits, misses and the entries of live rings."""
+    sig = inspect.signature(fn)
+    defaults = tuple(p.default for p in sig.parameters.values())[1:]
+    required = defaults.count(inspect.Parameter.empty)
+    hits = misses = 0
+
+    @functools.wraps(fn)
+    def wrapper(first, *args, **kwargs):
+        nonlocal hits, misses
+        if kwargs or len(args) < required:
+            bound = sig.bind(first, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        owner = first if isinstance(first, HyperRing) else getattr(first, "source", None) or first.ring
+        memo = owner.memo
+        key = (fn, first, *args, *defaults[len(args):])
+        try:
+            value = memo[key]
+            hits += 1
+        except KeyError:
+            if not memo:
+                _MEMO_RINGS.add(owner)
+            value = memo[key] = fn(*key[1:])
+            misses += 1
+        return value
+
+    wrapper.cache_info = lambda: CacheInfo(
+        hits, misses, sum(key[0] is fn for ring in list(_MEMO_RINGS) for key in ring.memo)
+    )
+    return wrapper
+
+
+# ---------------------------------------------------------------------------
 # set-valued arithmetic
 
 
@@ -170,7 +219,7 @@ def power(ring: HyperRing, x: int, n: int) -> ElementSet:
     return acc
 
 
-@lru_cache(maxsize=None)
+@memoized
 def power_orbit(ring: HyperRing, x: int) -> tuple:
     """The sequence x^1, x^2, ... truncated at the first repeated set.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .constructions import ProductRing, product_endomorphism, product_ring, quotient_ring
+from .constructions import ProductRing, product_endomorphism, product_ideal, product_ring, quotient_ring
 from .core import HyperRing, RawRing, make_zn_multiplier_ring, validate_structure
 from .ideals import (
     HyperIdeal,
@@ -35,7 +35,6 @@ from .verifier import (
     STATUS_FAILS,
     STATUS_HOLDS,
     VerdictReport,
-    _product_ideal,
 )
 
 
@@ -322,7 +321,7 @@ def _product_instances(product: ProductRing, alpha_pairs, tag="") -> list:
             for r_ideal in right_options:
                 if not l_ideal.proper and not r_ideal.proper:
                     continue
-                box = _product_ideal(product, l_ideal.elements, r_ideal.elements)
+                box = product_ideal(product, l_ideal.elements, r_ideal.elements)
                 uid = (
                     f"{product.ring.name}{tag}|a=({a1.name},{a2.name})"
                     f"|I1={_ideal_key(l_ideal.elements)}"
@@ -392,7 +391,7 @@ def generate_corpus(config: CorpusConfig = DEFAULT_CONFIG) -> tuple:
             for r_ideal in rights:
                 if not l_ideal.proper and not r_ideal.proper:
                     continue
-                box = _product_ideal(product, l_ideal.elements, r_ideal.elements)
+                box = product_ideal(product, l_ideal.elements, r_ideal.elements)
                 uid = (
                     f"{product.ring.name}|a=(id,id)"
                     f"|I1={_ideal_key(l_ideal.elements)}"
@@ -477,7 +476,7 @@ def worked_example_records() -> list:
         identity_endomorphism(product.left),
         identity_endomorphism(product.right),
     )
-    box = _product_ideal(
+    box = product_ideal(
         product, frozenset(range(0, 35, 7)), frozenset(range(0, 35, 5))
     )
     pair = alpha_prime_violation(product.ring, box, abar)

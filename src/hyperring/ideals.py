@@ -2,17 +2,17 @@
 
 All predicates are pure functions of immutable inputs.  The expensive
 enumerations (hyperideal lattice, product-set closure, power orbits) are
-memoized per ring; rings hash by identity, so the caches are exact.
+memoized in their ring's memo and freed with it; rings hash by identity.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
 from .core import (
     ElementSet,
     HyperRing,
+    memoized,
     power_orbit,
     set_sum,
 )
@@ -127,7 +127,7 @@ def as_hyperideal(ring: HyperRing, subset: Iterable[int]) -> HyperIdeal:
     return HyperIdeal(ring, s, proper=len(s) < ring.order)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _generated_elements(ring: HyperRing, seed: ElementSet) -> ElementSet:
     cur = set(seed)
     cur.add(ring.zero)
@@ -184,7 +184,7 @@ def _subgroup_closure(ring: HyperRing, seed: frozenset) -> frozenset:
         cur |= new
 
 
-@lru_cache(maxsize=None)
+@memoized
 def enumerate_hyperideals(ring: HyperRing, max_order: int = DEFAULT_ENUM_CAP) -> tuple:
     """All hyperideals (including the improper full ring), canonically sorted.
 
@@ -226,7 +226,7 @@ def proper_hyperideals(ring: HyperRing, max_order: int = DEFAULT_ENUM_CAP) -> tu
 # C-hyperideals
 
 
-@lru_cache(maxsize=None)
+@memoized
 def product_set_closure(
     ring: HyperRing,
     max_sets: int = DEFAULT_CLOSURE_SETS,
@@ -301,7 +301,7 @@ def _check_endo(ring: HyperRing, alpha) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _prime_violation(ring: HyperRing, elements: ElementSet):
     prod = ring.product_of
     n = ring.order
@@ -323,7 +323,7 @@ def is_prime(ring: HyperRing, ideal: HyperIdeal) -> bool:
     return prime_violation(ring, ideal) is None
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _alpha_prime_violation(ring: HyperRing, elements: ElementSet, alpha, mirrored: bool):
     prod = ring.product_of
     n = ring.order
@@ -383,7 +383,7 @@ def is_maximal(ring: HyperRing, ideal: HyperIdeal, max_order: int = DEFAULT_ENUM
 # radicals
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _d_set(ring: HyperRing, elements: ElementSet) -> ElementSet:
     out = set()
     for r in range(ring.order):
@@ -397,17 +397,13 @@ def d_radical_set(ring: HyperRing, ideal_or_set) -> ElementSet:
     return _d_set(ring, _as_elements(ideal_or_set))
 
 
-@lru_cache(maxsize=None)
-def _prime_ideal_sets(ring: HyperRing, max_order: int) -> tuple:
+@memoized
+def prime_ideals(ring: HyperRing, max_order: int = DEFAULT_ENUM_CAP) -> tuple:
     primes = []
     for ideal in enumerate_hyperideals(ring, max_order):
         if ideal.proper and _prime_violation(ring, ideal.elements) is None:
             primes.append(ideal.elements)
     return tuple(primes)
-
-
-def prime_ideals(ring: HyperRing, max_order: int = DEFAULT_ENUM_CAP) -> tuple:
-    return _prime_ideal_sets(ring, max_order)
 
 
 def radical_detail(ring: HyperRing, ideal_or_set, max_order: int = DEFAULT_ENUM_CAP):
@@ -418,7 +414,7 @@ def radical_detail(ring: HyperRing, ideal_or_set, max_order: int = DEFAULT_ENUM_
     the two must agree, and disagreement is an internal error.
     """
     elements = _as_elements(ideal_or_set)
-    primes = [p for p in _prime_ideal_sets(ring, max_order) if elements <= p]
+    primes = [p for p in prime_ideals(ring, max_order) if elements <= p]
     if primes:
         inter = frozenset.intersection(*primes)
     else:
@@ -476,7 +472,7 @@ def _image_set(alpha, xs: Iterable[int]) -> ElementSet:
     return frozenset(amap[x] for x in xs)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _alpha_radical(ring: HyperRing, elements: ElementSet, alpha) -> ElementSet:
     amap = alpha.map
     out = set()
@@ -511,6 +507,7 @@ def nilradical(ring: HyperRing) -> ElementSet:
     )
 
 
+@memoized
 def alpha_nilradical(ring: HyperRing, alpha) -> ElementSet:
     """All alpha-nilpotent elements: 0 lies in the alpha-image of some power."""
     _check_endo(ring, alpha)
@@ -553,7 +550,7 @@ def sum_ideals(ring: HyperRing, left: HyperIdeal, right: HyperIdeal) -> HyperIde
 # zero divisors and integral hyperdomains
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _zero_divisors(ring: HyperRing) -> ElementSet:
     zero = ring.zero
     prod = ring.product_of

@@ -8,10 +8,9 @@ exhaustive enumeration drives the verification corpus.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .core import ElementSet, HyperRing
+from .core import ElementSet, HyperRing, memoized
 from .errors import BadHomomorphism, CapExceeded
 from .ideals import (
     DEFAULT_ENUM_CAP,
@@ -114,7 +113,7 @@ def good_homomorphism(
     return Homomorphism(source, target, mapping, name)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def identity_endomorphism(ring: HyperRing) -> Homomorphism:
     return Homomorphism(ring, ring, tuple(range(ring.order)), "id")
 
@@ -137,7 +136,7 @@ def commutes(f: Homomorphism, alpha_src: Homomorphism, alpha_tgt: Homomorphism) 
 # enumeration
 
 
-@lru_cache(maxsize=None)
+@memoized
 def additive_generators(ring: HyperRing) -> tuple:
     """A minimal generating set of (carrier, +), grown greedily."""
     span = {ring.zero}
@@ -206,7 +205,7 @@ def _additive_maps(ring: HyperRing) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
+@memoized
 def enumerate_endomorphisms(ring: HyperRing, max_order: int = DEFAULT_ENUM_CAP) -> tuple:
     """All good endomorphisms, canonically ordered by image table."""
     if ring.order > max_order:
@@ -249,7 +248,7 @@ def scale_endomorphism(ring: HyperRing, k: int) -> Homomorphism:
 # kernels, images, preimages
 
 
-@lru_cache(maxsize=None)
+@memoized
 def kernel(f: Homomorphism) -> HyperIdeal:
     """Preimage of the ideal generated by zero in the target.
 

@@ -24,6 +24,7 @@ from .core import (
     FLAVOR_SCALAR,
     HyperRing,
     identity_flavor_at,
+    memoized,
     power_orbit,
     set_product,
     set_sum,
@@ -112,7 +113,7 @@ class VerdictReport:
 # shared memoized helpers
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _alpha_prime_proper_sets(ring: HyperRing, alpha: Homomorphism) -> tuple:
     out = []
     for ideal in enumerate_hyperideals(ring):
@@ -128,20 +129,10 @@ def _alpha_prime_intersection(ring: HyperRing, alpha: Homomorphism) -> frozenset
     return frozenset.intersection(*sets)
 
 
-@lru_cache(maxsize=None)
-def _nil_alpha(ring: HyperRing, alpha: Homomorphism) -> frozenset:
-    return alpha_nilradical(ring, alpha)
-
-
-@lru_cache(maxsize=None)
+@memoized
 def _quotient_image(quotient, elements: frozenset) -> HyperIdeal:
     proj = quotient.projection.map
     return as_hyperideal(quotient.ring, frozenset(proj[x] for x in elements))
-
-
-@lru_cache(maxsize=None)
-def _product_ideal(product: ProductRing, left: frozenset, right: frozenset) -> HyperIdeal:
-    return product_ideal(product, left, right)
 
 
 def _alpha_invariant(alpha: Homomorphism, elements: frozenset) -> bool:
@@ -554,7 +545,7 @@ def _r08(inst, witness):
 
 
 def _c09(inst):
-    nil = _nil_alpha(inst.ring, inst.alpha)
+    nil = alpha_nilradical(inst.ring, inst.alpha)
     bad = hyperideal_violation(inst.ring, nil)
     if bad is not None:
         return False, ("not_hyperideal", bad)
@@ -562,7 +553,7 @@ def _c09(inst):
 
 
 def _r09(inst, witness):
-    nil = _nil_alpha(inst.ring, inst.alpha)
+    nil = alpha_nilradical(inst.ring, inst.alpha)
     return hyperideal_violation(inst.ring, nil) is not None
 
 
@@ -627,7 +618,7 @@ def _r12(inst, witness):
 
 
 def _c13(inst):
-    nil = _nil_alpha(inst.ring, inst.alpha)
+    nil = alpha_nilradical(inst.ring, inst.alpha)
     inter = _alpha_prime_intersection(inst.ring, inst.alpha)
     if nil != inter:
         diff = sorted(nil.symmetric_difference(inter))
@@ -637,14 +628,14 @@ def _c13(inst):
 
 def _r13(inst, witness):
     x = witness[1]
-    nil = _nil_alpha(inst.ring, inst.alpha)
+    nil = alpha_nilradical(inst.ring, inst.alpha)
     inter = _alpha_prime_intersection(inst.ring, inst.alpha)
     return (x in nil) != (x in inter)
 
 
 def _c14(inst):
     ring, alpha = inst.ring, inst.alpha
-    nil = _nil_alpha(ring, alpha)
+    nil = alpha_nilradical(ring, alpha)
     rad = alpha_radical(ring, zero_ideal(ring).elements, alpha)
     missing = _violation_element(nil, rad)
     if missing is not None:
@@ -656,7 +647,7 @@ def _c14(inst):
 
 
 def _r14(inst, witness):
-    nil = _nil_alpha(inst.ring, inst.alpha)
+    nil = alpha_nilradical(inst.ring, inst.alpha)
     rad = alpha_radical(inst.ring, zero_ideal(inst.ring).elements, inst.alpha)
     x = witness[1]
     if witness[0] == "subset_violation":
@@ -1046,7 +1037,7 @@ def _c25(inst):
     product = inst.product
     left = product.left
     lhs = alpha_prime_violation(left, inst.left_ideal, inst.left_alpha) is None
-    lifted = _product_ideal(
+    lifted = product_ideal(
         product, inst.left_ideal.elements, product.right.carrier_set()
     )
     rhs_pair = alpha_prime_violation(product.ring, lifted, inst.alpha)
@@ -1063,7 +1054,7 @@ def _r25(inst, witness):
     product = inst.product
     tag, x, y = witness
     if tag == "product_pair":
-        lifted = _product_ideal(
+        lifted = product_ideal(
             product, inst.left_ideal.elements, product.right.carrier_set()
         ).elements
         amap = inst.alpha.map

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import time
@@ -327,6 +328,38 @@ class TestVerifyReport:
             run_cli("verify", "--corpus", corpus_file, "--report", str(report))
         assert len(calls) == 3
         assert not report.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
+
+    @pytest.fixture()
+    def no_corpus(self, monkeypatch):
+        def build(*_args):
+            pytest.fail("the corpus was built before the report path was checked")
+
+        monkeypatch.setattr(cli, "generate_corpus", build)
+        monkeypatch.setattr(cli, "_load_corpus_file", build)
+
+    def test_report_in_missing_directory_exits_2_before_the_corpus(self, tmp_path, no_corpus):
+        report = tmp_path / "missing" / "report.json"
+        code, text = run_cli("verify", "--report", str(report))
+        assert code == EXIT_PARSE
+        assert text == f"parse error: cannot write report {report}: No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_path_that_is_a_directory_exits_2_before_the_corpus(self, tmp_path, no_corpus):
+        code, text = run_cli("verify", "--report", str(tmp_path))
+        assert code == EXIT_PARSE
+        assert text == f"parse error: cannot write report {tmp_path}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_move_into_place_exits_2(self, tmp_path, corpus_file, monkeypatch):
+        def refuse(_src, _dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        report = tmp_path / "report.json"
+        code, text = run_cli("verify", "--corpus", corpus_file, "--report", str(report))
+        assert code == EXIT_PARSE
+        assert text == f"parse error: cannot write report {report}: Invalid cross-device link\n"
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
 
 
