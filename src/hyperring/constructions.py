@@ -1,8 +1,8 @@
 """Quotients, binary products, and the endomorphisms they induce.
 
 Derived structures are correct by construction, so none of them is
-re-validated; full validation stays at the trust boundary (parsed specs,
-residue rings, fixtures).  The transfer argument: a surjective good
+re-validated; full validation stays at the trust boundary (parsed table
+specs and the table fixtures).  The transfer argument: a surjective good
 homomorphism pi carries every axiom to its image, since
 pi((x o y) o z) = (X o Y) o Z, pi(x o (y+z)) <= X o Y + X o Z and
 pi(-t) = -pi(t).  The quotient projection is such a map.  A product
@@ -35,7 +35,7 @@ from .errors import (
     NotInvariant,
     NotProper,
 )
-from .ideals import HyperIdeal, as_hyperideal, hyperideal_violation
+from .ideals import HyperIdeal, _as_elements, as_hyperideal, hyperideal_violation
 from .morphisms import Homomorphism, good_homomorphism_violation
 
 PRODUCT_ORDER_CAP = 4096
@@ -275,12 +275,17 @@ def product_ring(
 
 @memoized
 def product_ideal(product: ProductRing, left_part, right_part) -> HyperIdeal:
-    """I1 x I2 as a hyperideal of the product (fully verified)."""
+    """I1 x I2 as a hyperideal of the product.
+
+    Each part is checked on its factor, since a box of factor hyperideals
+    is a hyperideal componentwise; a part that is not raises
+    ``NotAHyperideal`` with the factor's witness.
+    """
     o2 = product.right.order
-    left_els = left_part.elements if isinstance(left_part, HyperIdeal) else frozenset(left_part)
-    right_els = right_part.elements if isinstance(right_part, HyperIdeal) else frozenset(right_part)
+    left_els = as_hyperideal(product.left, _as_elements(left_part)).elements
+    right_els = as_hyperideal(product.right, _as_elements(right_part)).elements
     members = frozenset(x * o2 + y for x in left_els for y in right_els)
-    return as_hyperideal(product.ring, members)
+    return HyperIdeal(product.ring, members, proper=len(members) < product.ring.order)
 
 
 @memoized

@@ -37,7 +37,7 @@ FLAVOR_SCALAR = "scalar"  # e o a == {a} == a o e for every a
 
 @dataclass(frozen=True)
 class StructureProps:
-    """Cached structural facts, determined exhaustively at validation time."""
+    """Cached structural facts, determined exhaustively when a ring is built."""
 
     commutative: bool
     strongly_distributive: bool
@@ -433,17 +433,21 @@ def validate_structure(raw: RawRing) -> HyperRing:
     return HyperRing(n, raw.zero, add, neg, hyp, raw.name, props, raw.tags)
 
 
-def _strongly_distributive(n, add, hyp) -> bool:
-    """Whether both distributive inclusions hold with equality everywhere."""
+def _strongly_distributive(n, add, hyp, commutative) -> bool:
+    """Whether both distributive inclusions hold with equality everywhere.
+
+    Addition commutes, so (b, c) and (c, b) give the same equation; on a
+    commutative ring the right law is the left one.
+    """
     for a in range(n):
         hyp_a = hyp[a]
         for b in range(n):
             ab, ba, add_b = hyp_a[b], hyp[b][a], add[b]
-            for c in range(n):
+            for c in range(b, n):
                 bc = add_b[c]
                 if hyp_a[bc] != {add[x][y] for x in ab for y in hyp_a[c]}:
                     return False
-                if hyp[bc][a] != {add[x][y] for x in ba for y in hyp[c][a]}:
+                if not commutative and hyp[bc][a] != {add[x][y] for x in ba for y in hyp[c][a]}:
                     return False
     return True
 
@@ -454,9 +458,9 @@ def _scan_properties(n, zero, add, hyp, strongly=None) -> StructureProps:
     ``strongly`` is passed in by :func:`validate_structure`, whose
     distributivity sweep has already decided it.
     """
-    if strongly is None:
-        strongly = _strongly_distributive(n, add, hyp)
     commutative = all(hyp[a][b] == hyp[b][a] for a in range(n) for b in range(a + 1, n))
+    if strongly is None:
+        strongly = _strongly_distributive(n, add, hyp, commutative)
     zset = frozenset((zero,))
     absorbing = all(hyp[zero][r] == zset and hyp[r][zero] == zset for r in range(n))
     best = (None, FLAVOR_NONE)
@@ -487,10 +491,10 @@ def structure_properties(ring: HyperRing) -> StructureProps:
 def trusted_ring(order, zero, add, neg, hyp, name, tags=()) -> HyperRing:
     """Wrap tables that satisfy every axiom by construction, unvalidated.
 
-    Only for structures derived from validated rings, whose axioms follow
-    by a transfer argument (quotients, small products); anything parsed or
-    built from outside input goes through :func:`validate_structure`.  The
-    property record still comes from the exhaustive scan.
+    For structures whose axioms follow from a transfer argument: residue
+    rings, quotients and small products.  Tables parsed from outside input
+    go through :func:`validate_structure`.  The property record still comes
+    from the exhaustive scan.
     """
     return HyperRing(order, zero, add, neg, hyp, name, _scan_properties(order, zero, add, hyp), tags)
 
@@ -501,6 +505,11 @@ def trusted_ring(order, zero, add, neg, hyp, name, tags=()) -> HyperRing:
 
 def make_zn_multiplier_ring(n: int, multipliers: Iterable[int], name: str | None = None) -> HyperRing:
     """Residues mod n with a o b = {a*r*b mod n : r in multipliers}.
+
+    Every axiom transfers from the commutative ring Z_n, so the tables are
+    not validated: (a o b) o c = {a*r*b*s*c} = a o (b o c),
+    a o (b+c) <= a o b + a o c, (-a) o b = -(a o b), and cells are nonempty
+    because the multiplier set is.
 
     A single multiplier degenerates the hyperoperation to ordinary scaled
     multiplication; such rings are tagged ``degenerate_multiplier`` because
@@ -520,11 +529,7 @@ def make_zn_multiplier_ring(n: int, multipliers: Iterable[int], name: str | None
         for a in range(n)
     )
     tags = ("zn_multiplier",) + (("degenerate_multiplier",) if len(mult) == 1 else ())
-    raw = RawRing(
-        order=n, zero=0, add=add, neg=neg, hyp=hyp, name=name, tags=tags
-    )
-    ring = validate_structure(raw)
-    return ring
+    return trusted_ring(n, 0, add, neg, hyp, name, tags)
 
 
 def trivial_ring(name: str = "Z1") -> HyperRing:

@@ -79,17 +79,6 @@ def _ideal_key(elements) -> str:
 # hand-coded fixtures
 
 
-def _tables_of(ring: HyperRing) -> RawRing:
-    return RawRing(
-        order=ring.order,
-        zero=ring.zero,
-        add=ring.add,
-        neg=ring.neg,
-        hyp=ring.hyp,
-        name=ring.name,
-    )
-
-
 @lru_cache(maxsize=None)
 def fixture_weak_identity() -> HyperRing:
     """Order-4 table ring with weak identity 1 (a o b = {ab, 3ab} mod 4)."""

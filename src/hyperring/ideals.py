@@ -467,11 +467,6 @@ def is_primary(
     return True
 
 
-def _image_set(alpha, xs: Iterable[int]) -> ElementSet:
-    amap = alpha.map
-    return frozenset(amap[x] for x in xs)
-
-
 @memoized
 def _alpha_radical(ring: HyperRing, elements: ElementSet, alpha) -> ElementSet:
     amap = alpha.map

@@ -136,7 +136,6 @@ def commutes(f: Homomorphism, alpha_src: Homomorphism, alpha_tgt: Homomorphism) 
 # enumeration
 
 
-@memoized
 def additive_generators(ring: HyperRing) -> tuple:
     """A minimal generating set of (carrier, +), grown greedily."""
     span = {ring.zero}

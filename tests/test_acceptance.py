@@ -260,6 +260,24 @@ def test_c6_falsification_ledger():
     )
 
 
+# The smallest failing instance of each ledger entry in the default corpus.
+SMALLEST_LEDGER_FAILURES = (
+    ("T04", "Z2[0]|a=zero|I=0", ("pair", 1, 1)),
+    ("T11", "Z2[0]|a=zero", ("element", 1)),
+    ("T13", "Z2[1]|a=zero", ("element", 1)),
+    ("T21", "Z4[0]|a=scale2|I=0.2", ("quotient_pair", 1, 1)),
+)
+
+
+def test_c6_smallest_ledger_witnesses():
+    by_uid = {inst.uid: inst for inst in generate_corpus(DEFAULT_CONFIG)}
+    cat = {c.tid: c for c in catalog()}
+    for tid, uid, witness in SMALLEST_LEDGER_FAILURES:
+        (record,) = run_suite([by_uid[uid]], selection=[tid])
+        assert (record.status, record.witness) == (STATUS_FAILS, witness), tid
+        assert reverify_witness(by_uid[uid], cat[tid], witness), tid
+
+
 def test_c7_determinism(tmp_path):
     start = time.time()
     # The child runs in a fresh cwd, so a relative PYTHONPATH would not reach

@@ -96,6 +96,36 @@ class TestValidate:
         assert code == EXIT_PARSE
 
 
+class TestTrustBoundary:
+    """Residue specs are trusted by construction, table specs are validated;
+    the same ring prints the same properties either way."""
+
+    @pytest.mark.parametrize("command", ["props", "validate"])
+    @pytest.mark.parametrize("modulus, multipliers", [(12, [2, 3]), (8, [0, 2, 4, 6])])
+    def test_residue_spec_prints_the_props_of_its_table_spec(
+        self, tmp_path, command, modulus, multipliers
+    ):
+        residue = tmp_path / "residue.json"
+        residue.write_text(
+            json.dumps({"kind": "zn_multiplier", "modulus": modulus, "multipliers": multipliers})
+        )
+        doc = json.loads(emit_ring_spec(make_zn_multiplier_ring(modulus, multipliers)))
+        doc.pop("identity", None)
+        doc.pop("identity_flavor", None)
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        printed = []
+        for path in (residue, table):
+            code, text = run_cli(command, "--ring", str(path))
+            assert code == EXIT_OK
+            printed.append([
+                line for line in text.splitlines()
+                if not line.startswith(("ring:", "degenerate_multiplier:"))
+            ])
+        assert printed[0] == printed[1]
+        assert len(printed[0]) >= 5
+
+
 class TestErrorExits:
     """Bad input ends in an exit code and a one-line message; calling
     ``main`` directly means any exception that escapes fails the test."""

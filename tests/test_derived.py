@@ -1,28 +1,37 @@
-"""Derived structures are trusted by construction; these tests re-check them.
+"""Structures trusted by construction; these tests re-check them.
 
-Quotients, products and the maps between them are built without
-re-validation, because a surjective good homomorphism carries every axiom
-over to its image.  Each check that the constructors no longer run is
-asserted here instead, over random residue rings, the table fixtures and
-random proper hyperideals: full validation accepts the derived tables with
-the same property record, and every derived map is good.
+Residue rings, quotients, products, box ideals and the maps between them
+are built without re-validation: the axioms of a residue ring transfer
+from the commutative ring Z_n, a surjective good homomorphism carries
+every axiom over to its image, and a box of factor hyperideals is a
+hyperideal componentwise.  Each check that the constructors no longer run
+is asserted here instead, over random residue rings, the table fixtures
+and random hyperideals: full validation accepts the trusted tables with
+the same property record, every box passes the closure checks, and every
+derived map is good.
 """
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hyperring import (
     RawRing,
     enumerate_endomorphisms,
+    enumerate_hyperideals,
     induced_quotient_endo,
     is_good_homomorphism,
     make_zn_multiplier_ring,
     product_endomorphism,
+    product_ideal,
     product_ring,
     proper_hyperideals,
     quotient_ring,
+    structure_properties,
     validate_structure,
 )
 from hyperring.constructions import _derived_product_props
+from hyperring.errors import NotAHyperideal
+from hyperring.ideals import hyperideal_violation
 from hyperring.corpus import (
     fixture_even_multipliers,
     fixture_full_cell,
@@ -69,6 +78,13 @@ def revalidated(ring):
 def assert_good(endo):
     ok, witness = is_good_homomorphism(endo.map, endo.source, endo.target)
     assert ok, witness
+
+
+class TestResidueRing:
+    @settings(max_examples=80, deadline=None)
+    @given(residue_rings(max_order=16))
+    def test_tables_pass_full_validation_with_same_props(self, ring):
+        assert structure_properties(ring) == ring.props == revalidated(ring).props
 
 
 class TestQuotient:
@@ -151,3 +167,88 @@ class TestProduct:
         alpha = data.draw(st.sampled_from(enumerate_endomorphisms(left)))
         beta = data.draw(st.sampled_from(enumerate_endomorphisms(right)))
         assert_good(product_endomorphism(product, alpha, beta))
+
+
+@st.composite
+def boxes(draw):
+    """A product of order <= 48 and one hyperideal of each factor."""
+    left, right = draw(small_factor_pairs())
+    parts = [draw(st.sampled_from(enumerate_hyperideals(factor))) for factor in (left, right)]
+    return product_ring(left, right), parts[0].elements, parts[1].elements
+
+
+@st.composite
+def boxes_with_a_non_ideal_part(draw):
+    """A product and a factor part that is not a hyperideal of its factor."""
+    left, right = draw(small_factor_pairs())
+    side = draw(st.sampled_from((0, 1)))
+    factor = (left, right)[side]
+    part = draw(st.frozensets(st.sampled_from(range(factor.order))))
+    assume(hyperideal_violation(factor, part) is not None)
+    other = (right, left)[side].carrier_set()
+    parts = (part, other) if side == 0 else (other, part)
+    return product_ring(left, right), factor, part, parts
+
+
+class TestBoxIdeal:
+    @settings(max_examples=40, deadline=None)
+    @given(boxes())
+    def test_box_passes_closure_checks(self, data):
+        product, left_els, right_els = data
+        box = product_ideal(product, left_els, right_els)
+        ring = product.ring
+        assert box.ring is ring
+        assert box.elements == frozenset(
+            product.pair_index(x, y) for x in left_els for y in right_els
+        )
+        assert hyperideal_violation(ring, box.elements) is None
+        assert box.proper == (box.elements != ring.carrier_set())
+
+    @settings(max_examples=40, deadline=None)
+    @given(boxes_with_a_non_ideal_part())
+    def test_non_ideal_part_rejected_with_factor_witness(self, data):
+        product, factor, part, parts = data
+        with pytest.raises(NotAHyperideal) as caught:
+            product_ideal(product, *parts)
+        assert caught.value.witness == hyperideal_violation(factor, part)
+
+
+def triangular_ring(multipliers):
+    """Upper-triangular 2x2 matrices over Z_2 with x o y = {x*m*y : m in M}.
+
+    Index 4a + 2b + d stands for [[a, b], [0, d]].  The axioms follow from
+    the matrix ring as they do for residue rings; validation checks them.
+    """
+
+    def mul(x, y):
+        a, b, d = x >> 2, (x >> 1) & 1, x & 1
+        e, f, h = y >> 2, (y >> 1) & 1, y & 1
+        return (a & e) << 2 | ((a & f) ^ (b & h)) << 1 | (d & h)
+
+    hyp = [[{mul(mul(x, m), y) for m in multipliers} for y in range(8)] for x in range(8)]
+    add = [[x ^ y for y in range(8)] for x in range(8)]
+    return validate_structure(
+        RawRing(order=8, zero=0, add=add, neg=list(range(8)), hyp=hyp,
+                name=f"UT2[{','.join(map(str, multipliers))}]")
+    )
+
+
+# M = {0}, {E22}, {I}, {0, I}, {E12, I}: 5 is the identity matrix.
+TRIANGULAR = [triangular_ring(m) for m in ((0,), (1,), (5,), (0, 5), (2, 5))]
+# Z2[0,1] is the one small residue ring whose strong distributivity fails
+# only where b == c, at 1 o (1+1) = {0} against {0,1} + {0,1}.
+SCANNED = TRIANGULAR + [make_zn_multiplier_ring(2, [0, 1])] + [build() for build in FIXTURES]
+
+
+class TestPropertyScan:
+    def test_triangular_rings_reach_both_branches(self):
+        assert {r.props.strongly_distributive for r in TRIANGULAR} == {True, False}
+        assert {r.props.commutative for r in TRIANGULAR} == {True, False}
+        assert any(
+            not r.props.commutative and r.props.strongly_distributive for r in TRIANGULAR
+        )
+
+    @pytest.mark.parametrize("ring", SCANNED, ids=lambda r: r.name)
+    def test_scan_equals_props(self, ring):
+        # Validation decides strong distributivity by its own sweep.
+        assert structure_properties(ring) == ring.props == revalidated(ring).props
