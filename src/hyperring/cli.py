@@ -95,9 +95,10 @@ def parse_ring_spec(doc: dict) -> HyperRing:
             add = [[int(v) for v in row] for row in doc["add"]]
             neg = [int(v) for v in doc["neg"]]
             hyp = [[[int(v) for v in cell] for cell in row] for row in doc["hyp"]]
+            identity = doc.get("identity")
+            identity = int(identity) if identity is not None else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseFailure(f"bad table spec: {exc}") from exc
-        identity = doc.get("identity")
         flavor = doc.get("identity_flavor")
         raw = RawRing(
             order=order,
@@ -106,7 +107,7 @@ def parse_ring_spec(doc: dict) -> HyperRing:
             neg=neg,
             hyp=hyp,
             name=name or "table-ring",
-            identity=int(identity) if identity is not None else None,
+            identity=identity,
             identity_flavor=flavor,
         )
         try:

@@ -186,6 +186,22 @@ class ProductBackedRing(HyperRing):
     def sub_of(self, a: int, b: int) -> int:
         return self.add_of(a, self.neg_of(b))
 
+    def box_absorbers(self, elements):
+        """Absorber rows of a box P1 x P2, built on the factors.
+
+        Each cell is the Cartesian product of two nonempty factor cells, so
+        x o y <= P1 x P2 iff x1 o y1 <= P1 and x2 o y2 <= P2; y1 then y2
+        ascending is y ascending.  Not a box (|P1| |P2| != |I|): None.
+        """
+        left, right, o2 = self.left, self.right, self.right.order
+        p1 = frozenset(x // o2 for x in elements)
+        p2 = frozenset(x % o2 for x in elements)
+        if len(p1) * len(p2) != len(elements):
+            return None
+        rows1 = [[y for y in left.elements() if left.product_of(x, y) <= p1] for x in left.elements()]
+        rows2 = [[y for y in right.elements() if right.product_of(x, y) <= p2] for x in right.elements()]
+        return lambda x: (y1 * o2 + y2 for y1 in rows1[x // o2] for y2 in rows2[x % o2])
+
 
 @dataclass(frozen=True, eq=False)
 class ProductRing:

@@ -103,6 +103,11 @@ class HyperRing:
     def sub_of(self, a: int, b: int) -> int:
         return self.add[a][self.neg[b]]
 
+    def box_absorbers(self, elements: ElementSet):
+        """``x -> ascending y with x o y <= elements``, where the backend can
+        split ``elements`` into factors; None for table-backed rings."""
+        return None
+
     def elements(self) -> range:
         return range(self.order)
 
@@ -418,6 +423,8 @@ def validate_structure(raw: RawRing) -> HyperRing:
     _check_sign_law(n, neg, hyp)
 
     if raw.identity is not None:
+        if not isinstance(raw.identity, int) or not 0 <= raw.identity < n:
+            raise ForeignElement(f"declared identity {raw.identity!r} outside the carrier")
         claimed_flavor = raw.identity_flavor or FLAVOR_WEAK
         actual = _flavor_at(n, lambda a, b: hyp[a][b], raw.identity)
         ok = actual == claimed_flavor or (

@@ -325,19 +325,21 @@ def is_prime(ring: HyperRing, ideal: HyperIdeal) -> bool:
 
 @memoized
 def _alpha_prime_violation(ring: HyperRing, elements: ElementSet, alpha, mirrored: bool):
-    prod = ring.product_of
     n = ring.order
     amap = alpha.map
-    if mirrored:
-        xs = [x for x in range(n) if amap[x] not in elements]
-        ys = [y for y in range(n) if y not in elements]
+    outside = [x not in elements for x in range(n)]
+    image_outside = [amap[x] not in elements for x in range(n)]
+    x_out, y_out = (image_outside, outside) if mirrored else (outside, image_outside)
+    xs = [x for x in range(n) if x_out[x]]
+    absorbers = ring.box_absorbers(elements)
+    if absorbers is not None:
         for x in xs:
-            for y in ys:
-                if prod(x, y) <= elements:
+            for y in absorbers(x):
+                if y_out[y]:
                     return (x, y)
         return None
-    xs = [x for x in range(n) if x not in elements]
-    ys = [y for y in range(n) if amap[y] not in elements]
+    prod = ring.product_of
+    ys = [y for y in range(n) if y_out[y]]
     for x in xs:
         for y in ys:
             if prod(x, y) <= elements:

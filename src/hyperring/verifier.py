@@ -130,6 +130,26 @@ def _alpha_prime_intersection(ring: HyperRing, alpha: Homomorphism) -> frozenset
 
 
 @memoized
+def _ideal_pairs(ring: HyperRing) -> tuple:
+    """(L, R, L o R, L + R, L & R) for every ordered pair of hyperideals.
+
+    Equal sets share one object; sums and meets of ideals are ideals, so
+    the ideals' own sets cover them.
+    """
+    ideals = [i.elements for i in enumerate_hyperideals(ring)]
+    shared = {s: s for s in ideals}
+
+    def intern(s):
+        return shared.setdefault(s, s)
+
+    return tuple(
+        (ea, eb, intern(set_product(ring, ea, eb)), intern(set_sum(ring, ea, eb)), intern(ea & eb))
+        for ea in ideals
+        for eb in ideals
+    )
+
+
+@memoized
 def _quotient_image(quotient, elements: frozenset) -> HyperIdeal:
     proj = quotient.projection.map
     return as_hyperideal(quotient.ring, frozenset(proj[x] for x in elements))
@@ -436,17 +456,9 @@ def _c05(inst):
     amap = alpha.map
     lhs_pair = alpha_prime_violation(ring, ideal, alpha)
     rhs_witness = None
-    for left in enumerate_hyperideals(ring):
-        for right in enumerate_hyperideals(ring):
-            if not set_product(ring, left.elements, right.elements) <= els:
-                continue
-            if left.elements <= els:
-                continue
-            if frozenset(amap[y] for y in right.elements) <= els:
-                continue
-            rhs_witness = ("ideal_pair", tuple(sorted(left.elements)), tuple(sorted(right.elements)))
-            break
-        if rhs_witness is not None:
+    for left, right, prod, _sum, _meet in _ideal_pairs(ring):
+        if prod <= els and not left <= els and not all(amap[y] in els for y in right):
+            rhs_witness = ("ideal_pair", tuple(sorted(left)), tuple(sorted(right)))
             break
     lhs = lhs_pair is None
     rhs = rhs_witness is None
@@ -471,12 +483,6 @@ def _r05(inst, witness):
     return ring.product_of(x, y) <= els and x not in els and amap[y] not in els
 
 
-def _colon_family(inst):
-    yield from (frozenset((s,)) for s in range(inst.ring.order))
-    yield inst.ideal.elements
-    yield inst.ring.carrier_set()
-
-
 def _colon_elements(ring, els, subset):
     prod = ring.product_of
     return frozenset(
@@ -484,17 +490,32 @@ def _colon_elements(ring, els, subset):
     )
 
 
+@memoized
+def _distinct_residuals(ring: HyperRing, elements: frozenset) -> tuple:
+    """One (S, I : S) per distinct proper residual, S the first subset (as a
+    sorted tuple) among the singletons, then I, then R; equal residuals give
+    equal verdicts.  A residual among the enumerated hyperideals is one; any
+    other, and any residual of a ring above the enumeration cap, is checked.
+    """
+    try:
+        known = {i.elements: i for i in enumerate_hyperideals(ring)}
+    except CapExceeded:
+        known = {}
+    family = [frozenset((s,)) for s in range(ring.order)] + [elements, ring.carrier_set()]
+    found = {}
+    for subset in family:
+        res = _colon_elements(ring, elements, subset)
+        if len(res) < ring.order and res not in found:
+            found[res] = (tuple(sorted(subset)), known[res] if res in known else as_hyperideal(ring, res))
+    return tuple(found.values())
+
+
 def _c06(inst):
     ring, alpha = inst.ring, inst.alpha
-    els = inst.ideal.elements
-    for subset in _colon_family(inst):
-        res = _colon_elements(ring, els, subset)
-        if len(res) == ring.order:
-            continue
-        residual = as_hyperideal(ring, res)
+    for subset, residual in _distinct_residuals(ring, inst.ideal.elements):
         pair = alpha_prime_violation(ring, residual, alpha)
         if pair is not None:
-            return False, ("colon_pair", tuple(sorted(subset)), pair[0], pair[1])
+            return False, ("colon_pair", subset, pair[0], pair[1])
     return True, None
 
 
@@ -657,23 +678,23 @@ def _r14(inst, witness):
 
 def _c15(inst):
     ring, alpha = inst.ring, inst.alpha
-    ideals = enumerate_hyperideals(ring)
-    rad = {i.elements: alpha_radical(ring, i.elements, alpha) for i in ideals}
-    for a in ideals:
-        ea = a.elements
-        for b in ideals:
-            eb = b.elements
-            if ea <= eb and not rad[ea] <= rad[eb]:
-                return False, ("monotone", tuple(sorted(ea)), tuple(sorted(eb)))
-            prod_rad = alpha_radical(ring, set_product(ring, ea, eb), alpha)
-            meet_rad = alpha_radical(ring, ea & eb, alpha)
-            if not (prod_rad == meet_rad == rad[ea] & rad[eb]):
-                return False, ("product_law", tuple(sorted(ea)), tuple(sorted(eb)))
-            if _alpha_invariant(alpha, ea) and _alpha_invariant(alpha, eb):
-                sum_rad = alpha_radical(ring, set_sum(ring, ea, eb), alpha)
-                outer = alpha_radical(ring, set_sum(ring, rad[ea], rad[eb]), alpha)
-                if not sum_rad <= outer:
-                    return False, ("sum_law", tuple(sorted(ea)), tuple(sorted(eb)))
+    radicals = {}
+
+    def rad(subset):
+        if subset not in radicals:
+            radicals[subset] = alpha_radical(ring, subset, alpha)
+        return radicals[subset]
+
+    invariant = {i.elements: _alpha_invariant(alpha, i.elements) for i in enumerate_hyperideals(ring)}
+    for ea, eb, prod, plus, meet in _ideal_pairs(ring):
+        ra, rb = rad(ea), rad(eb)
+        if ea <= eb and not ra <= rb:
+            return False, ("monotone", tuple(sorted(ea)), tuple(sorted(eb)))
+        if not (rad(prod) == rad(meet) == ra & rb):
+            return False, ("product_law", tuple(sorted(ea)), tuple(sorted(eb)))
+        if invariant[ea] and invariant[eb]:
+            if not rad(plus) <= rad(set_sum(ring, ra, rb)):
+                return False, ("sum_law", tuple(sorted(ea)), tuple(sorted(eb)))
     return True, None
 
 
@@ -1561,12 +1582,23 @@ def write_report(verdicts, handle) -> None:
 
     The document is one stable JSON array of fixed-field-order records,
     one per line.  ``verdicts`` may be a one-shot iterable: no record is
-    kept after it is written.
+    kept after it is written.  The fields that depend only on (theorem,
+    status, hypotheses, statement) are encoded once per call.
     """
     written = False
+    fragments = {}
     for verdict in verdicts:
         handle.write(",\n" if written else "[\n")
-        handle.write(json.dumps(report_record(verdict), separators=(", ", ": ")))
+        key = (verdict.theorem, verdict.status, verdict.hypotheses, verdict.statement)
+        if key not in fragments:
+            fields = json.dumps(report_record(verdict), separators=(", ", ": "))
+            fragments[key] = (
+                fields[fields.index(', "theorem": '):fields.index(', "witness": ')] + ', "witness": ',
+                fields[fields.rindex(', "anchors": '):],
+            )
+        middle, tail = fragments[key]
+        handle.write(f'{{"instance": {json.dumps(verdict.instance)}{middle}'
+                     f'{json.dumps(_json_witness(verdict.witness))}{tail}')
         written = True
     handle.write("\n]\n" if written else "[]\n")
 

@@ -5,6 +5,7 @@ suite asserts every criterion at its stated tolerance (all tolerances are
 exact: the oracles are finite and discrete).
 """
 
+import hashlib
 import itertools
 import json
 import os
@@ -51,6 +52,8 @@ GATED = (
 )
 
 MIN_NON_VACUOUS = {"T19": 10, "T22": 10, "T25": 10, "T26": 10}
+
+REPORT_SHA256 = "5a3ecfcaa674ce3d270f5d9acf4878039dcb29b5d60e3e7a05ca1751823efd40"
 
 
 def _raw_from(ring, hyp):
@@ -304,6 +307,10 @@ def test_c7_determinism(tmp_path):
     assert outputs[0][1] == outputs[1][1]
     elapsed = time.time() - start
     size = len(outputs[0][1])
+    # The default report is pinned, so a change that alters verdicts the
+    # same way on every run fails here too.
+    assert size == 90_447_002
+    assert hashlib.sha256(outputs[0][1]).hexdigest() == REPORT_SHA256
     print(
         f"\nACCEPTANCE C7 (determinism): PASS "
         f"(two process-isolated runs byte-identical, report {size} bytes, {elapsed:.1f}s)"

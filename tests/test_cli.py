@@ -159,6 +159,23 @@ class TestErrorExits:
         assert code == EXIT_PARSE
         assert text.startswith("parse error: ")
 
+    @pytest.mark.parametrize(
+        "identity, code, prefix",
+        [
+            ("x", EXIT_PARSE, "parse error: bad table spec: "),
+            ([1], EXIT_PARSE, "parse error: bad table spec: "),
+            (5, EXIT_SEMANTIC, "invalid: "),
+            (-1, EXIT_SEMANTIC, "invalid: "),
+        ],
+        ids=["not-a-number", "a-list", "past-the-order", "negative"],
+    )
+    def test_bad_table_identity(self, tmp_path, identity, code, prefix):
+        doc = json.loads(emit_ring_spec(make_zn_multiplier_ring(2, [1])))
+        doc["identity"] = identity
+        got, text = run_cli("validate", "--ring", write_spec(tmp_path, doc))
+        assert got == code
+        assert text.startswith(prefix)
+
     @pytest.mark.parametrize("command", ["radical", "classify"])
     def test_enumeration_cap_exit_1(self, tmp_path, command):
         doc = {"kind": "zn_multiplier", "modulus": 18, "multipliers": [1, 17]}

@@ -8,13 +8,16 @@ hyperideal componentwise.  Each check that the constructors no longer run
 is asserted here instead, over random residue rings, the table fixtures
 and random hyperideals: full validation accepts the trusted tables with
 the same property record, every box passes the closure checks, and every
-derived map is good.
+derived map is good.  The α-prime scan that the computed product backend
+runs on the factors of a box returns the pair of the full scan on the
+table backend.
 """
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hyperring import (
+    Homomorphism,
     RawRing,
     enumerate_endomorphisms,
     enumerate_hyperideals,
@@ -31,13 +34,14 @@ from hyperring import (
 )
 from hyperring.constructions import _derived_product_props
 from hyperring.errors import NotAHyperideal
-from hyperring.ideals import hyperideal_violation
+from hyperring.ideals import _alpha_prime_violation, hyperideal_violation
 from hyperring.corpus import (
     fixture_even_multipliers,
     fixture_full_cell,
     fixture_inclusion_only,
     fixture_weak_identity,
 )
+from test_constructions import _computed_product
 
 FIXTURES = (
     fixture_weak_identity,
@@ -211,6 +215,54 @@ class TestBoxIdeal:
         with pytest.raises(NotAHyperideal) as caught:
             product_ideal(product, *parts)
         assert caught.value.witness == hyperideal_violation(factor, part)
+
+
+@st.composite
+def scan_cases(draw):
+    """Both backends of one product, a subset, a map and a mirrored flag.
+
+    The subset is a box of factor hyperideals (at most one side full) or
+    any subset; the map is componentwise or any self-map of the carrier.
+    """
+    left, right = draw(
+        st.tuples(residue_rings(8), residue_rings(8)).filter(
+            lambda pair: pair[0].order * pair[1].order <= 48
+        )
+    )
+    tabled, computed = product_ring(left, right), _computed_product(left, right)
+    n = tabled.ring.order
+    if draw(st.booleans()):
+        parts = [draw(st.sampled_from(enumerate_hyperideals(f))).elements for f in (left, right)]
+        assume(parts != [left.carrier_set(), right.carrier_set()])
+        elements = product_ideal(tabled, *parts).elements
+        assert computed.ring.box_absorbers(elements) is not None
+    else:
+        elements = draw(st.frozensets(st.integers(0, n - 1)))
+    if draw(st.booleans()):
+        alpha = product_endomorphism(
+            tabled,
+            draw(st.sampled_from(enumerate_endomorphisms(left))),
+            draw(st.sampled_from(enumerate_endomorphisms(right))),
+        )
+        table = alpha.map
+    else:
+        table = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return tabled, computed, elements, table, draw(st.booleans())
+
+
+class TestBoxAwareScan:
+    @settings(max_examples=200, deadline=None)
+    @given(scan_cases())
+    def test_same_first_pair_on_both_backends(self, case):
+        # Table rings keep the full scan, so they are the reference.
+        tabled, computed, elements, table, mirrored = case
+        expected = _alpha_prime_violation(
+            tabled.ring, elements, Homomorphism(tabled.ring, tabled.ring, table, "drawn"), mirrored
+        )
+        got = _alpha_prime_violation(
+            computed.ring, elements, Homomorphism(computed.ring, computed.ring, table, "drawn"), mirrored
+        )
+        assert got == expected
 
 
 def triangular_ring(multipliers):

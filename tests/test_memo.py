@@ -61,7 +61,7 @@ def exercise(ring):
 
 
 def test_every_cache_outside_the_corpus_is_a_ring_memo():
-    assert len(MEMOIZED) == 20
+    assert len(MEMOIZED) == 22
     assert verifier.catalog not in MEMOIZED
 
 
@@ -127,6 +127,7 @@ def memo_calls(ring):
         (morphisms.identity_endomorphism, (ring,), {}),
         (enumerate_endomorphisms, (ring,), {}),
         (enumerate_endomorphisms, (ring,), {"max_order": DEFAULT_ENUM_CAP}),
+        (verifier._ideal_pairs, (ring,), {}),
     ]
     for ideal in proper:
         els = ideal.elements
@@ -136,6 +137,7 @@ def memo_calls(ring):
             (ideals._d_set, (ring, els), {}),
             (quotient_ring, (ring, ideal), {}),
             (verifier._quotient_image, (quotient, els), {}),
+            (verifier._distinct_residuals, (ring, els), {}),
         ]
         for alpha in endos:
             calls += [

@@ -2,24 +2,34 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperring import (
+    alpha_radical,
     as_hyperideal,
     catalog,
     catalog_ids,
     check,
+    enumerate_endomorphisms,
+    enumerate_hyperideals,
+    identity_endomorphism,
     iter_suite,
     make_zn_multiplier_ring,
+    proper_hyperideals,
     render_report,
     reverify_witness,
     run_suite,
     scale_endomorphism,
+    set_product,
+    set_sum,
     summarize,
     unledgered_failures,
     write_report,
 )
 from hyperring.corpus import CorpusConfig, generate_corpus, worked_example_records
 from hyperring.errors import SignatureMismatch
+from hyperring.ideals import alpha_prime_violation
+from hyperring import verifier
 from hyperring.verifier import (
     Instance,
     KIND_RING_ALPHA,
@@ -203,7 +213,7 @@ class TestReportRendering:
         # The reference is the report format written out in full: records
         # joined by ",\n" inside "[\n" and "\n]\n", or "[]\n" when empty.
         corpus = generate_corpus(config) if config else []
-        verdicts = run_suite(corpus, selection=["T19", "T25"])
+        verdicts = run_suite(corpus)
         lines = [json.dumps(report_record(v), separators=(", ", ": ")) for v in verdicts]
         expected = "[\n" + ",\n".join(lines) + "\n]\n" if lines else "[]\n"
         handle = io.StringIO()
@@ -233,3 +243,131 @@ class TestWorkedExampleRecords:
         assert "P03" in ledgered_theorems()
         records = worked_example_records()
         assert unledgered_failures(records) == []
+
+
+# ---------------------------------------------------------------------------
+# ring-level tables against the per-instance loops they replaced
+
+
+def reference_c05(inst):
+    ring, ideal, alpha = inst.ring, inst.ideal, inst.alpha
+    els = ideal.elements
+    amap = alpha.map
+    lhs_pair = alpha_prime_violation(ring, ideal, alpha)
+    rhs_witness = None
+    for left in enumerate_hyperideals(ring):
+        for right in enumerate_hyperideals(ring):
+            if not set_product(ring, left.elements, right.elements) <= els:
+                continue
+            if left.elements <= els:
+                continue
+            if frozenset(amap[y] for y in right.elements) <= els:
+                continue
+            rhs_witness = ("ideal_pair", tuple(sorted(left.elements)), tuple(sorted(right.elements)))
+            break
+        if rhs_witness is not None:
+            break
+    lhs = lhs_pair is None
+    rhs = rhs_witness is None
+    if lhs == rhs:
+        return True, None
+    if lhs and not rhs:
+        return False, rhs_witness
+    return False, ("pair", lhs_pair[0], lhs_pair[1])
+
+
+def reference_colon_family(inst):
+    yield from (frozenset((s,)) for s in range(inst.ring.order))
+    yield inst.ideal.elements
+    yield inst.ring.carrier_set()
+
+
+def reference_c06(inst):
+    ring, alpha = inst.ring, inst.alpha
+    els = inst.ideal.elements
+    for subset in reference_colon_family(inst):
+        res = verifier._colon_elements(ring, els, subset)
+        if len(res) == ring.order:
+            continue
+        residual = as_hyperideal(ring, res)
+        pair = alpha_prime_violation(ring, residual, alpha)
+        if pair is not None:
+            return False, ("colon_pair", tuple(sorted(subset)), pair[0], pair[1])
+    return True, None
+
+
+def reference_c15(inst):
+    ring, alpha = inst.ring, inst.alpha
+    ideals = enumerate_hyperideals(ring)
+    rad = {i.elements: alpha_radical(ring, i.elements, alpha) for i in ideals}
+    for a in ideals:
+        ea = a.elements
+        for b in ideals:
+            eb = b.elements
+            if ea <= eb and not rad[ea] <= rad[eb]:
+                return False, ("monotone", tuple(sorted(ea)), tuple(sorted(eb)))
+            prod_rad = alpha_radical(ring, set_product(ring, ea, eb), alpha)
+            meet_rad = alpha_radical(ring, ea & eb, alpha)
+            if not (prod_rad == meet_rad == rad[ea] & rad[eb]):
+                return False, ("product_law", tuple(sorted(ea)), tuple(sorted(eb)))
+            if verifier._alpha_invariant(alpha, ea) and verifier._alpha_invariant(alpha, eb):
+                sum_rad = alpha_radical(ring, set_sum(ring, ea, eb), alpha)
+                outer = alpha_radical(ring, set_sum(ring, rad[ea], rad[eb]), alpha)
+                if not sum_rad <= outer:
+                    return False, ("sum_law", tuple(sorted(ea)), tuple(sorted(eb)))
+    return True, None
+
+
+@st.composite
+def residue_rings(draw, max_order=10):
+    n = draw(st.integers(2, max_order))
+    multipliers = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+    return make_zn_multiplier_ring(n, sorted(multipliers))
+
+
+class TestRingLevelTables:
+    @settings(max_examples=40, deadline=None)
+    @given(residue_rings())
+    def test_ideal_pair_rows_equal_direct_computation(self, ring):
+        ideals = [i.elements for i in enumerate_hyperideals(ring)]
+        rows = verifier._ideal_pairs(ring)
+        assert [(left, right) for left, right, *_ in rows] == [(a, b) for a in ideals for b in ideals]
+        for left, right, prod, plus, meet in rows:
+            assert prod == set_product(ring, left, right)
+            assert plus == set_sum(ring, left, right)
+            assert meet == left & right
+            # Sums and meets of ideals are ideals: they share the ideals' sets.
+            assert any(plus is s for s in ideals) and any(meet is s for s in ideals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(residue_rings())
+    def test_residuals_keep_the_first_subset(self, ring):
+        for ideal in proper_hyperideals(ring):
+            inst = _rai_instance(ring, None, ideal.elements)
+            first = {}
+            for subset in reference_colon_family(inst):
+                res = verifier._colon_elements(ring, ideal.elements, subset)
+                if len(res) < ring.order:
+                    first.setdefault(res, subset)
+            got = verifier._distinct_residuals(ring, ideal.elements)
+            assert [(subset, residual.elements) for subset, residual in got] == [
+                (tuple(sorted(subset)), res) for res, subset in first.items()
+            ]
+
+    def test_residuals_above_the_enumeration_cap(self):
+        # Z18 is past the hyperideal enumeration cap; T06 still decides.
+        ring = make_zn_multiplier_ring(18, [2])
+        inst = _rai_instance(ring, identity_endomorphism(ring), frozenset(range(0, 18, 3)))
+        assert verifier._c06(inst) == reference_c06(inst) == (True, None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(residue_rings())
+    def test_checks_match_the_per_instance_loops(self, ring):
+        for alpha in enumerate_endomorphisms(ring):
+            for ideal in proper_hyperideals(ring):
+                inst = _rai_instance(ring, alpha, ideal.elements)
+                assert verifier._c05(inst) == reference_c05(inst)
+                assert verifier._c06(inst) == reference_c06(inst)
+            if ring.props.zero_absorbing:
+                inst = _ra_instance(ring, alpha)
+                assert verifier._c15(inst) == reference_c15(inst)
