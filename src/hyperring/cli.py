@@ -85,7 +85,7 @@ def parse_ring_spec(doc: dict) -> HyperRing:
         try:
             modulus = _capped_order(int(doc["modulus"]))
             multipliers = [int(m) for m in doc["multipliers"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseFailure(f"bad zn_multiplier spec: {exc}") from exc
         return make_zn_multiplier_ring(modulus, multipliers, name=name)
     if kind == "table":
@@ -97,7 +97,7 @@ def parse_ring_spec(doc: dict) -> HyperRing:
             hyp = [[[int(v) for v in cell] for cell in row] for row in doc["hyp"]]
             identity = doc.get("identity")
             identity = int(identity) if identity is not None else None
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseFailure(f"bad table spec: {exc}") from exc
         flavor = doc.get("identity_flavor")
         raw = RawRing(
@@ -136,7 +136,7 @@ def parse_ideal_spec(ring: HyperRing, spec: str):
                 return ("elements", [int(v) for v in doc["elements"]])
             if "generators" in doc:
                 return ("generators", [int(v) for v in doc["generators"]])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseFailure(f"bad ideal spec: {exc}") from exc
         raise ParseFailure("ideal spec object needs 'elements' or 'generators'")
     if spec.startswith("gen:"):
@@ -181,7 +181,7 @@ def parse_endo_spec(ring: HyperRing, spec: str):
                 spec = "map:" + ",".join(str(int(v)) for v in doc["image"])
             else:
                 raise ParseFailure("endomorphism spec object needs kind scale|map")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseFailure(f"bad endomorphism spec: {exc}") from exc
     if spec.startswith("scale:"):
         try:

@@ -7,9 +7,12 @@ of derived ideals, zero absorption wherever a radical appears, identity
 fixing for the product biconditional) are materialized as named
 hypotheses so "fails" always means the conclusion itself failed.
 
-Verdicts are deterministic: witnesses are the first violation in
-canonical element order and every fails verdict can be re-verified by
-plugging the witness back into the violated predicate.
+Each conclusion is a claim built from a few witness shapes (a pair test,
+a hyperideal test, containment, equality) and combinators (first
+failure, conditional, biconditional); the claim gives both the check and
+the re-verification of its witnesses.  Verdicts are deterministic:
+witnesses are the first violation in canonical element order, and every
+fails witness is re-verified before its verdict is reported.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .core import (
     HyperRing,
     identity_flavor_at,
     memoized,
-    power_orbit,
     set_product,
     set_sum,
 )
@@ -43,8 +45,11 @@ from .ideals import (
     alpha_radical,
     alpha_nilradical,
     as_hyperideal,
+    ConsistencyError,
+    d_radical_set,
     enumerate_hyperideals,
     hyperideal_violation,
+    is_alpha_prime,
     is_primary,
     prime_violation,
     radical_detail,
@@ -96,7 +101,7 @@ class TheoremCheck:
     statement: str
     hypotheses: tuple
     conclude: object
-    recheck: object = None
+    recheck: object
 
 
 @dataclass(frozen=True)
@@ -120,13 +125,6 @@ def _alpha_prime_proper_sets(ring: HyperRing, alpha: Homomorphism) -> tuple:
         if ideal.proper and alpha_prime_violation(ring, ideal, alpha) is None:
             out.append(ideal.elements)
     return tuple(out)
-
-
-def _alpha_prime_intersection(ring: HyperRing, alpha: Homomorphism) -> frozenset:
-    sets = _alpha_prime_proper_sets(ring, alpha)
-    if not sets:
-        return ring.carrier_set()
-    return frozenset.intersection(*sets)
 
 
 @memoized
@@ -168,12 +166,6 @@ def _has_fixed_identity(ring: HyperRing, alpha: Homomorphism) -> bool:
     return False
 
 
-def _violation_element(sub: frozenset, sup: frozenset):
-    """Smallest element of sub outside sup, if any."""
-    out = sorted(sub - sup)
-    return out[0] if out else None
-
-
 # ---------------------------------------------------------------------------
 # hypothesis helpers (True / False / None=undecidable)
 
@@ -197,13 +189,11 @@ def h_alpha_prime(inst):
     return alpha_prime_violation(inst.ring, inst.ideal, inst.alpha) is None
 
 
+_C_VALUE = {C_YES: True, C_NO: False}  # an unknown C-status is undecided
+
+
 def h_c_ideal(inst):
-    status = inst.ideal.c_status
-    if status == C_YES:
-        return True
-    if status == C_NO:
-        return False
-    return None
+    return _C_VALUE.get(inst.ideal.c_status)
 
 
 def h_zero_absorbing(inst):
@@ -258,12 +248,7 @@ def h_zero_ideal_prime(inst):
 
 
 def h_zero_ideal_c(inst):
-    status = zero_ideal(inst.ring).c_status
-    if status == C_YES:
-        return True
-    if status == C_NO:
-        return False
-    return None
+    return _C_VALUE.get(zero_ideal(inst.ring).c_status)
 
 
 def h_kernel_proper(inst):
@@ -371,116 +356,321 @@ def h_left_ideal_proper(inst):
 
 
 # ---------------------------------------------------------------------------
-# conclusions (return (ok_or_None, witness))
+# claims: a conclusion and the re-verification of its witnesses, per shape
 
 
-def _c01(inst):
-    els = inst.ideal.elements
-    amap = inst.alpha.map
-    for x in sorted(els):
-        if amap[x] not in els:
-            return False, ("element", x)
-    return True, None
+@dataclass(frozen=True)
+class Claim:
+    """``conclude(inst)`` gives (ok, witness); a witness is the first
+    violation in canonical order, a tuple led by one of ``tags``.
+    ``recheck(inst, witness)`` plugs it back into the predicate and
+    recomputes every set it names.
+    """
+
+    tags: tuple
+    conclude: object
+    recheck: object
 
 
-def _r01(inst, witness):
-    x = witness[1]
-    return x in inst.ideal.elements and inst.alpha.map[x] not in inst.ideal.elements
+def _pair_search(ring, elements, twist):
+    ideal = HyperIdeal(ring, elements, len(elements) < ring.order)
+    if twist is None:
+        return prime_violation(ring, ideal)
+    return alpha_prime_violation(ring, ideal, twist)
 
 
-def _c02(inst):
-    inter, _d, _c = radical_detail(inst.ring, inst.ideal.elements)
-    bad = hyperideal_violation(inst.ring, inter)
-    if bad is not None:
-        return False, ("not_hyperideal", bad)
-    root = as_hyperideal(inst.ring, inter)
-    pair = alpha_prime_violation(inst.ring, root, inst.alpha)
-    if pair is not None:
-        return False, ("pair", pair[0], pair[1])
-    return True, None
+def _pair_holds(ring, elements, amap, x, y):
+    """x o y inside the set with x outside, and y (its amap-image) outside."""
+    carrier = range(ring.order)
+    return (
+        x in carrier
+        and y in carrier
+        and ring.product_of(x, y) <= elements
+        and x not in elements
+        and (y if amap is None else amap[y]) not in elements
+    )
 
 
-def _r02(inst, witness):
-    inter, _d, _c = radical_detail(inst.ring, inst.ideal.elements)
-    if witness[0] == "not_hyperideal":
-        return hyperideal_violation(inst.ring, inter) is not None
-    _tag, x, y = witness
-    amap = inst.alpha.map
-    return inst.ring.product_of(x, y) <= inter and x not in inter and amap[y] not in inter
+def _absorbs(tag, subject, twist=None, ideal=False):
+    """The pair test on ``subject(inst) = (ring, S)``: x o y inside S forces
+    x in S or twist(y) in S; with no twist it tests primeness.  With
+    ``ideal``, S must first be a hyperideal."""
+
+    def conclude(inst):
+        ring, els = subject(inst)
+        if ideal:
+            bad = hyperideal_violation(ring, els)
+            if bad is not None:
+                return False, ("not_hyperideal", bad)
+        pair = _pair_search(ring, els, twist and twist(inst))
+        return (True, None) if pair is None else (False, (tag, *pair))
+
+    def recheck(inst, witness):
+        ring, els = subject(inst)
+        if witness[0] == "not_hyperideal":
+            return hyperideal_violation(ring, els) is not None
+        amap = twist(inst).map if twist else None
+        return _pair_holds(ring, els, amap, witness[1], witness[2])
+
+    return Claim(("not_hyperideal", tag) if ideal else (tag,), conclude, recheck)
 
 
-def _c03(inst):
-    ring, ideal, alpha = inst.ring, inst.ideal, inst.alpha
-    pre = alpha.preimage_of(ideal.elements)
-    bad = hyperideal_violation(ring, pre)
-    if bad is not None:
-        return False, ("not_hyperideal", bad)
-    e_ideal = as_hyperideal(ring, pre)
-    pair = alpha_prime_violation(ring, e_ideal, alpha)
-    if pair is not None:
-        return False, ("pair", pair[0], pair[1])
-    if ring.props.identity is not None and ideal.c_status == C_YES:
-        missing = _violation_element(ideal.elements, pre)
-        if missing is not None:
-            return False, ("not_contained", missing)
-    return True, None
+def _ideal_absorbs(subject, twist=None):
+    return _absorbs("pair", subject, twist, ideal=True)
 
 
-def _r03(inst, witness):
-    pre = inst.alpha.preimage_of(inst.ideal.elements)
-    if witness[0] == "not_hyperideal":
-        return hyperideal_violation(inst.ring, pre) is not None
-    if witness[0] == "not_contained":
-        return witness[1] in inst.ideal.elements and witness[1] not in pre
-    _tag, x, y = witness
-    amap = inst.alpha.map
-    return inst.ring.product_of(x, y) <= pre and x not in pre and amap[y] not in pre
+def _is_ideal(subject):
+    """S is a hyperideal; the witness is the first violated closure law."""
+
+    def conclude(inst):
+        bad = hyperideal_violation(*subject(inst))
+        return (True, None) if bad is None else (False, ("not_hyperideal", bad))
+
+    def recheck(inst, witness):
+        return hyperideal_violation(*subject(inst)) is not None
+
+    return Claim(("not_hyperideal",), conclude, recheck)
 
 
-def _c04(inst):
-    pair = prime_violation(inst.ring, inst.ideal)
-    if pair is not None:
-        return False, ("pair", pair[0], pair[1])
-    return True, None
+def _smallest(tag, elements):
+    return (False, (tag, min(elements))) if elements else (True, None)
 
 
-def _r04(inst, witness):
-    _tag, x, y = witness
-    els = inst.ideal.elements
-    return inst.ring.product_of(x, y) <= els and x not in els and y not in els
+def _inside(tag, sub, sup):
+    """sub(inst) lies inside sup(inst); the witness is the smallest element
+    of the difference."""
+    return Claim(
+        (tag,),
+        lambda inst: _smallest(tag, sub(inst) - sup(inst)),
+        lambda inst, witness: witness[1] in sub(inst) and witness[1] not in sup(inst),
+    )
 
 
-def _c05(inst):
-    ring, ideal, alpha = inst.ring, inst.ideal, inst.alpha
-    els = ideal.elements
-    amap = alpha.map
-    lhs_pair = alpha_prime_violation(ring, ideal, alpha)
-    rhs_witness = None
-    for left, right, prod, _sum, _meet in _ideal_pairs(ring):
-        if prod <= els and not left <= els and not all(amap[y] in els for y in right):
-            rhs_witness = ("ideal_pair", tuple(sorted(left)), tuple(sorted(right)))
-            break
-    lhs = lhs_pair is None
-    rhs = rhs_witness is None
-    if lhs == rhs:
+def _equal(tag, a, b):
+    """a(inst) equals b(inst); the witness is the smallest element of the
+    symmetric difference."""
+    return Claim(
+        (tag,),
+        lambda inst: _smallest(tag, a(inst) ^ b(inst)),
+        lambda inst, witness: (witness[1] in a(inst)) != (witness[1] in b(inst)),
+    )
+
+
+def _first(*claims):
+    """Every claim holds; the first that fails gives the witness."""
+
+    def conclude(inst):
+        for claim in claims:
+            ok, witness = claim.conclude(inst)
+            if not ok:
+                return ok, witness
         return True, None
-    if lhs and not rhs:
-        return False, rhs_witness
-    return False, ("pair", lhs_pair[0], lhs_pair[1])
+
+    def recheck(inst, witness):
+        return any(witness[0] in c.tags and c.recheck(inst, witness) for c in claims)
+
+    return Claim(sum((c.tags for c in claims), ()), conclude, recheck)
 
 
-def _r05(inst, witness):
-    ring, els, amap = inst.ring, inst.ideal.elements, inst.alpha.map
-    if witness[0] == "ideal_pair":
-        left = frozenset(witness[1])
-        right = frozenset(witness[2])
+def _when(cond, claim):
+    """The claim, asserted only where ``cond(inst)`` holds."""
+    return Claim(
+        claim.tags,
+        lambda inst: claim.conclude(inst) if cond(inst) else (True, None),
+        lambda inst, witness: cond(inst) and claim.recheck(inst, witness),
+    )
+
+
+def _iff(lhs, rhs):
+    """lhs holds exactly when rhs does.  The witness is the failing side's;
+    it re-verifies only while the other side holds."""
+
+    def conclude(inst):
+        lok, lwit = lhs.conclude(inst)
+        rok, rwit = rhs.conclude(inst)
+        if lok == rok:
+            return True, None
+        return False, (rwit if lok else lwit)
+
+    def recheck(inst, witness):
+        side, other = (lhs, rhs) if witness[0] in lhs.tags else (rhs, lhs)
         return (
-            set_product(ring, left, right) <= els
-            and not left <= els
-            and not frozenset(amap[y] for y in right) <= els
+            witness[0] in side.tags
+            and side.recheck(inst, witness)
+            and other.conclude(inst)[0] is True
         )
+
+    return Claim(lhs.tags + rhs.tags, conclude, recheck)
+
+
+# subjects and twists
+
+
+def _ideal(inst):
+    return inst.ring, inst.ideal.elements
+
+
+def _alpha(inst):
+    return inst.alpha
+
+
+def _alpha_preimage(inst):
+    return inst.alpha.preimage_of(inst.ideal.elements)
+
+
+def _power_members(inst):
+    return d_radical_set(inst.ring, inst.ideal.elements)
+
+
+def _radical(inst):
+    return inst.ring, radical_detail(inst.ring, inst.ideal.elements)[0]
+
+
+def _nil(inst):
+    return alpha_nilradical(inst.ring, inst.alpha)
+
+
+def _alpha_prime_meet(inst):
+    """The intersection of the proper alpha-prime hyperideals (R if none)."""
+    sets = _alpha_prime_proper_sets(inst.ring, inst.alpha)
+    return frozenset.intersection(*sets) if sets else inst.ring.carrier_set()
+
+
+def _zero_radical(inst):
+    return alpha_radical(inst.ring, zero_ideal(inst.ring).elements, inst.alpha)
+
+
+def _source_radical_image(inst):
+    """f(rad(I1)) along a hom instance."""
+    f = inst.hom
+    return f.image_of(alpha_radical(f.source, inst.ideal.elements, inst.alpha))
+
+
+def _image_radical(inst):
+    """rad(f(I1)) along a hom instance."""
+    f = inst.hom
+    return alpha_radical(f.target, f.image_of(inst.ideal.elements), inst.alpha_target)
+
+
+def _hom_preimage(inst):
+    return inst.hom.preimage_of(inst.ideal_target.elements)
+
+
+def _quotient_zero_divisors(inst):
+    return zero_divisors(quotient_ring(inst.ring, inst.ideal).ring)
+
+
+def _cosets_in_alpha_preimage(inst):
+    pre = _alpha_preimage(inst)
+    cosets = quotient_ring(inst.ring, inst.ideal).cosets
+    return frozenset(c for c, members in enumerate(cosets) if members <= pre)
+
+
+def _image_mod_kernel(inst):
+    """The image of I in R / ker(alpha)."""
+    quotient = quotient_ring(inst.ring, kernel(inst.alpha))
+    return quotient.ring, _quotient_image(quotient, inst.ideal.elements).elements
+
+
+def _cylinder(inst):
+    """I1 x R2 in the product."""
+    product = inst.product
+    lifted = product_ideal(product, inst.left_ideal.elements, product.right.carrier_set())
+    return product.ring, lifted.elements
+
+
+def _ideal_pair_violation(inst):
+    els, amap = inst.ideal.elements, inst.alpha.map
+    for left, right, prod, _sum, _meet in _ideal_pairs(inst.ring):
+        if prod <= els and not left <= els and not all(amap[y] in els for y in right):
+            return False, ("ideal_pair", tuple(sorted(left)), tuple(sorted(right)))
+    return True, None
+
+
+def _ideal_pair_holds(inst, witness):
+    ring, els, amap = inst.ring, inst.ideal.elements, inst.alpha.map
+    left, right = frozenset(witness[1]), frozenset(witness[2])
+    ideals = {i.elements for i in enumerate_hyperideals(ring)}
+    return (
+        left in ideals and right in ideals and set_product(ring, left, right) <= els
+        and not left <= els and not frozenset(amap[y] for y in right) <= els
+    )
+
+
+# L o R inside I forces L inside I or alpha(R) inside I, over hyperideals L, R.
+_IDEAL_PAIRS = Claim(("ideal_pair",), _ideal_pair_violation, _ideal_pair_holds)
+
+_T05 = _iff(_absorbs("pair", _ideal, _alpha), _IDEAL_PAIRS)
+_c05 = _T05.conclude
+
+
+def _quotient_star(inst):
+    quotient = quotient_ring(inst.ring, inst.ideal)
+    return quotient.ring, induced_quotient_endo(quotient, inst.alpha)
+
+
+def _integral_violation(inst):
+    ring, star = _quotient_star(inst)
+    pair = alpha_integral_violation(ring, star)
+    return (True, None) if pair is None else (False, ("quotient_pair", *pair))
+
+
+def _integral_pair_holds(inst, witness):
+    ring, star = _quotient_star(inst)
     _tag, x, y = witness
-    return ring.product_of(x, y) <= els and x not in els and amap[y] not in els
+    zero, carrier = ring.zero, range(ring.order)
+    return (
+        x in carrier and y in carrier and zero in ring.product_of(x, y)
+        and x != zero and star.map[y] != zero
+    )
+
+
+# 0 in x o y forces x = 0 or alpha*(y) = 0 in R/I.
+_INTEGRAL_QUOTIENT = Claim(("quotient_pair",), _integral_violation, _integral_pair_holds)
+
+
+def _t23_readings(inst):
+    els = inst.ideal.elements
+    return tuple(
+        name
+        for name, f in (("kernel_of_alpha", inst.alpha), ("kernel_of_map", inst.hom))
+        if kernel(f).elements <= els
+    )
+
+
+def _with_readings(claim):
+    """The claim, its witness prefixed with the kernel-containment readings."""
+
+    def conclude(inst):
+        ok, witness = claim.conclude(inst)
+        return (True, None) if ok else (False, ("readings", _t23_readings(inst), *witness))
+
+    def recheck(inst, witness):
+        return tuple(witness[1]) == _t23_readings(inst) and claim.recheck(inst, witness[2:])
+
+    return Claim(("readings",), conclude, recheck)
+
+
+def _t26_rhs(inst):
+    """One side of the box is full and the other a proper alpha-prime ideal."""
+    product = inst.product
+    return any(
+        not full.proper and other.proper and alpha_prime_violation(ring, other, alpha) is None
+        for full, other, ring, alpha in (
+            (inst.left_ideal, inst.right_ideal, product.right, inst.right_alpha),
+            (inst.right_ideal, inst.left_ideal, product.left, inst.left_alpha),
+        )
+    )
+
+
+_ONE_SIDE_FULL = Claim(
+    ("sides",),
+    lambda inst: (True, None) if _t26_rhs(inst) else (False, ("sides", "product_prime_but_factors_not")),
+    lambda inst, witness: not _t26_rhs(inst),
+)
+
+
+# custom claims: residuals, radical laws, powers, subideal quotients, D-sets
 
 
 def _colon_elements(ring, els, subset):
@@ -521,159 +711,11 @@ def _c06(inst):
 
 def _r06(inst, witness):
     _tag, subset, x, y = witness
-    res = _colon_elements(inst.ring, inst.ideal.elements, frozenset(subset))
-    amap = inst.alpha.map
-    return inst.ring.product_of(x, y) <= res and x not in res and amap[y] not in res
-
-
-def _c07(inst):
-    ring, els, amap = inst.ring, inst.ideal.elements, inst.alpha.map
-    for x in range(ring.order):
-        if amap[x] in els:
-            continue
-        if any(p <= els for p in power_orbit(ring, x)):
-            return False, ("element", x)
-    return True, None
-
-
-def _r07(inst, witness):
-    x = witness[1]
-    els = inst.ideal.elements
-    return (
-        any(p <= els for p in power_orbit(inst.ring, x))
-        and inst.alpha.map[x] not in els
-    )
-
-
-def _c08(inst):
-    ring, els, amap = inst.ring, inst.ideal.elements, inst.alpha.map
-    for y in range(ring.order):
-        if amap[amap[y]] in els:
-            continue
-        if any(p <= els for p in power_orbit(ring, amap[y])):
-            return False, ("element", y)
-    return True, None
-
-
-def _r08(inst, witness):
-    y = witness[1]
-    els = inst.ideal.elements
-    amap = inst.alpha.map
-    return (
-        any(p <= els for p in power_orbit(inst.ring, amap[y]))
-        and amap[amap[y]] not in els
-    )
-
-
-def _c09(inst):
-    nil = alpha_nilradical(inst.ring, inst.alpha)
-    bad = hyperideal_violation(inst.ring, nil)
-    if bad is not None:
-        return False, ("not_hyperideal", bad)
-    return True, None
-
-
-def _r09(inst, witness):
-    nil = alpha_nilradical(inst.ring, inst.alpha)
-    return hyperideal_violation(inst.ring, nil) is not None
-
-
-def _c10(inst):
-    f = inst.hom
-    src = inst.ring
-    pre = f.preimage_of(inst.ideal_target.elements)
-    bad = hyperideal_violation(src, pre)
-    if bad is not None:
-        return False, ("not_hyperideal", bad)
-    pre_ideal = as_hyperideal(src, pre)
-    pair = alpha_prime_violation(src, pre_ideal, inst.alpha)
-    if pair is not None:
-        return False, ("pair", pair[0], pair[1])
-    return True, None
-
-
-def _r10(inst, witness):
-    pre = inst.hom.preimage_of(inst.ideal_target.elements)
-    if witness[0] == "not_hyperideal":
-        return hyperideal_violation(inst.ring, pre) is not None
-    _tag, x, y = witness
-    amap = inst.alpha.map
-    return inst.ring.product_of(x, y) <= pre and x not in pre and amap[y] not in pre
-
-
-def _c11(inst):
-    ker = kernel(inst.alpha)
-    inter = _alpha_prime_intersection(inst.ring, inst.alpha)
-    x = _violation_element(ker.elements, inter)
-    if x is not None:
-        return False, ("element", x)
-    return True, None
-
-
-def _r11(inst, witness):
-    x = witness[1]
-    if x not in kernel(inst.alpha).elements:
+    subset = frozenset(subset)
+    if not subset <= inst.ring.carrier_set():
         return False
-    for ideal in enumerate_hyperideals(inst.ring):
-        if (
-            ideal.proper
-            and alpha_prime_violation(inst.ring, ideal, inst.alpha) is None
-            and x not in ideal.elements
-        ):
-            return True
-    return False
-
-
-def _c12(inst):
-    ker = kernel(inst.alpha)
-    pair = prime_violation(inst.ring, ker)
-    if pair is not None:
-        return False, ("pair", pair[0], pair[1])
-    return True, None
-
-
-def _r12(inst, witness):
-    _tag, x, y = witness
-    ker = kernel(inst.alpha).elements
-    return inst.ring.product_of(x, y) <= ker and x not in ker and y not in ker
-
-
-def _c13(inst):
-    nil = alpha_nilradical(inst.ring, inst.alpha)
-    inter = _alpha_prime_intersection(inst.ring, inst.alpha)
-    if nil != inter:
-        diff = sorted(nil.symmetric_difference(inter))
-        return False, ("element", diff[0])
-    return True, None
-
-
-def _r13(inst, witness):
-    x = witness[1]
-    nil = alpha_nilradical(inst.ring, inst.alpha)
-    inter = _alpha_prime_intersection(inst.ring, inst.alpha)
-    return (x in nil) != (x in inter)
-
-
-def _c14(inst):
-    ring, alpha = inst.ring, inst.alpha
-    nil = alpha_nilradical(ring, alpha)
-    rad = alpha_radical(ring, zero_ideal(ring).elements, alpha)
-    missing = _violation_element(nil, rad)
-    if missing is not None:
-        return False, ("subset_violation", missing)
-    if nil != rad:
-        extra = _violation_element(rad, nil)
-        return False, ("equality_violation", extra)
-    return True, None
-
-
-def _r14(inst, witness):
-    nil = alpha_nilradical(inst.ring, inst.alpha)
-    rad = alpha_radical(inst.ring, zero_ideal(inst.ring).elements, inst.alpha)
-    x = witness[1]
-    if witness[0] == "subset_violation":
-        return x in nil and x not in rad
-    return (x in nil) != (x in rad)
+    res = _colon_elements(inst.ring, inst.ideal.elements, subset)
+    return _pair_holds(inst.ring, res, inst.alpha.map, x, y)
 
 
 def _c15(inst):
@@ -702,6 +744,8 @@ def _r15(inst, witness):
     ring, alpha = inst.ring, inst.alpha
     law, ea, eb = witness
     ea, eb = frozenset(ea), frozenset(eb)
+    if not ea | eb <= ring.carrier_set():
+        return False
     ra = alpha_radical(ring, ea, alpha)
     rb = alpha_radical(ring, eb, alpha)
     if law == "monotone":
@@ -715,6 +759,18 @@ def _r15(inst, witness):
     return not sum_rad <= outer
 
 
+def _powers(inst):
+    """I, I o I, ... up to the first repeat, for a proper alpha-prime I."""
+    ring, els = inst.ring, inst.ideal.elements
+    if not inst.ideal.proper or alpha_prime_violation(ring, inst.ideal, inst.alpha) is not None:
+        return []
+    powers, acc = [], els
+    while acc not in powers:
+        powers.append(acc)
+        acc = set_product(ring, acc, els)
+    return powers
+
+
 def _c16(inst):
     ring, alpha = inst.ring, inst.alpha
     els = inst.ideal.elements
@@ -722,432 +778,61 @@ def _c16(inst):
     full = ring.order
     if (len(rad) == full) != (len(els) == full):
         return False, ("fullness", tuple(sorted(els)))
-    if inst.ideal.proper and alpha_prime_violation(ring, inst.ideal, alpha) is None:
-        seen = set()
-        acc = els
-        while acc not in seen:
-            seen.add(acc)
-            if alpha_radical(ring, acc, alpha) != rad:
-                return False, ("power_radical", tuple(sorted(acc)))
-            acc = set_product(ring, acc, els)
+    for power in _powers(inst):
+        if alpha_radical(ring, power, alpha) != rad:
+            return False, ("power_radical", tuple(sorted(power)))
     return True, None
 
 
 def _r16(inst, witness):
-    ring, alpha = inst.ring, inst.alpha
-    els = inst.ideal.elements
+    ring, alpha, els = inst.ring, inst.alpha, inst.ideal.elements
+    rad = alpha_radical(ring, els, alpha)
     if witness[0] == "fullness":
-        rad = alpha_radical(ring, els, alpha)
         return (len(rad) == ring.order) != (len(els) == ring.order)
     power = frozenset(witness[1])
-    return alpha_radical(ring, power, alpha) != alpha_radical(ring, els, alpha)
+    return power in _powers(inst) and alpha_radical(ring, power, alpha) != rad
 
 
-def _c17(inst):
-    f = inst.hom
-    src, tgt = f.source, f.target
-    a_src, a_tgt = inst.alpha, inst.alpha_target
-    i1 = inst.ideal.elements
-    i2 = inst.ideal_target.elements
-    rad_i1 = alpha_radical(src, i1, a_src)
-    f_i1 = f.image_of(i1)
-    rad_f_i1 = alpha_radical(tgt, f_i1, a_tgt)
-    bad = _violation_element(f.image_of(rad_i1), rad_f_i1)
-    if bad is not None:
-        return False, ("image_law", bad)
-    pre_i2 = f.preimage_of(i2)
-    rad_pre = alpha_radical(src, pre_i2, a_src)
-    pre_rad = f.preimage_of(alpha_radical(tgt, i2, a_tgt))
-    bad = _violation_element(rad_pre, pre_rad)
-    if bad is not None:
-        return False, ("preimage_law", bad)
-    if f.is_surjective and f.is_injective:
-        if f.image_of(rad_i1) != rad_f_i1:
-            extra = _violation_element(rad_f_i1, f.image_of(rad_i1))
-            return False, ("iso_equality", extra)
-    return True, None
-
-
-def _r17(inst, witness):
-    f = inst.hom
-    src, tgt = f.source, f.target
-    tag, x = witness
-    if tag == "image_law":
-        rad_i1 = alpha_radical(src, inst.ideal.elements, inst.alpha)
-        rad_f = alpha_radical(tgt, f.image_of(inst.ideal.elements), inst.alpha_target)
-        return x in f.image_of(rad_i1) and x not in rad_f
-    if tag == "preimage_law":
-        rad_pre = alpha_radical(src, f.preimage_of(inst.ideal_target.elements), inst.alpha)
-        pre_rad = f.preimage_of(alpha_radical(tgt, inst.ideal_target.elements, inst.alpha_target))
-        return x in rad_pre and x not in pre_rad
-    rad_i1 = alpha_radical(src, inst.ideal.elements, inst.alpha)
-    rad_f = alpha_radical(tgt, f.image_of(inst.ideal.elements), inst.alpha_target)
-    return x in rad_f and x not in f.image_of(rad_i1)
-
-
-def _c18(inst):
-    ring, alpha = inst.ring, inst.alpha
-    rad = alpha_radical(ring, inst.ideal.elements, alpha)
-    bad = hyperideal_violation(ring, rad)
-    if bad is not None:
-        return False, ("not_hyperideal", bad)
-    root = as_hyperideal(ring, rad)
-    pair = alpha_prime_violation(ring, root, alpha)
-    if pair is not None:
-        return False, ("pair", pair[0], pair[1])
-    return True, None
-
-
-def _r18(inst, witness):
-    rad = alpha_radical(inst.ring, inst.ideal.elements, inst.alpha)
-    if witness[0] == "not_hyperideal":
-        return hyperideal_violation(inst.ring, rad) is not None
-    _tag, x, y = witness
-    amap = inst.alpha.map
-    return inst.ring.product_of(x, y) <= rad and x not in rad and amap[y] not in rad
-
-
-def _t19_rhs_violation(inst):
-    quotient = quotient_ring(inst.ring, inst.ideal)
-    amap = inst.alpha.map
-    els = inst.ideal.elements
-    for c in sorted(zero_divisors(quotient.ring)):
-        members = quotient.cosets[c]
-        if not all(amap[x] in els for x in members):
-            return c
-    return None
-
-
-def _c19(inst):
-    lhs_pair = alpha_prime_violation(inst.ring, inst.ideal, inst.alpha)
-    rhs_coset = _t19_rhs_violation(inst)
-    lhs = lhs_pair is None
-    rhs = rhs_coset is None
-    if lhs == rhs:
-        return True, None
-    if lhs:
-        return False, ("coset", rhs_coset)
-    return False, ("pair", lhs_pair[0], lhs_pair[1])
-
-
-def _r19(inst, witness):
-    if witness[0] == "coset":
-        c = witness[1]
-        quotient = quotient_ring(inst.ring, inst.ideal)
-        if c not in zero_divisors(quotient.ring):
-            return False
-        amap = inst.alpha.map
-        els = inst.ideal.elements
-        bad_rep = any(amap[x] not in els for x in quotient.cosets[c])
-        return bad_rep and alpha_prime_violation(inst.ring, inst.ideal, inst.alpha) is None
-    _tag, x, y = witness
-    els = inst.ideal.elements
-    amap = inst.alpha.map
-    return (
-        inst.ring.product_of(x, y) <= els
-        and x not in els
-        and amap[y] not in els
-        and _t19_rhs_violation(inst) is None
-    )
-
-
-def _t20_rhs_violation(inst):
-    quotient = quotient_ring(inst.ring, inst.ideal)
-    zero_c = quotient.ring.zero
-    zds = sorted(c for c in zero_divisors(quotient.ring) if c != zero_c)
-    return zds[0] if zds else None
-
-
-def _c20(inst):
-    lhs_pair = prime_violation(inst.ring, inst.ideal)
-    rhs_coset = _t20_rhs_violation(inst)
-    lhs = lhs_pair is None
-    rhs = rhs_coset is None
-    if lhs == rhs:
-        return True, None
-    if lhs:
-        return False, ("coset", rhs_coset)
-    return False, ("pair", lhs_pair[0], lhs_pair[1])
-
-
-def _r20(inst, witness):
-    if witness[0] == "coset":
-        c = witness[1]
-        quotient = quotient_ring(inst.ring, inst.ideal)
-        return (
-            c != quotient.ring.zero
-            and c in zero_divisors(quotient.ring)
-            and prime_violation(inst.ring, inst.ideal) is None
-        )
-    _tag, x, y = witness
-    els = inst.ideal.elements
-    return (
-        inst.ring.product_of(x, y) <= els
-        and x not in els
-        and y not in els
-        and _t20_rhs_violation(inst) is None
-    )
-
-
-def _c21(inst):
-    ring, alpha = inst.ring, inst.alpha
-    ker = kernel(alpha)
-    quotient = quotient_ring(ring, ker)
-    image = _quotient_image(quotient, inst.ideal.elements)
-    lhs_pair = alpha_prime_violation(ring, inst.ideal, alpha)
-    rhs_pair = prime_violation(quotient.ring, image)
-    lhs = lhs_pair is None
-    rhs = rhs_pair is None
-    if lhs == rhs:
-        return True, None
-    if lhs:
-        return False, ("quotient_pair", rhs_pair[0], rhs_pair[1])
-    return False, ("pair", lhs_pair[0], lhs_pair[1])
-
-
-def _r21(inst, witness):
-    ring, alpha = inst.ring, inst.alpha
-    ker = kernel(alpha)
-    quotient = quotient_ring(ring, ker)
-    image = _quotient_image(quotient, inst.ideal.elements).elements
-    if witness[0] == "quotient_pair":
-        _tag, x, y = witness
-        return (
-            quotient.ring.product_of(x, y) <= image
-            and x not in image
-            and y not in image
-            and alpha_prime_violation(ring, inst.ideal, alpha) is None
-        )
-    _tag, x, y = witness
-    els = inst.ideal.elements
-    amap = alpha.map
-    return (
-        ring.product_of(x, y) <= els
-        and x not in els
-        and amap[y] not in els
-        and prime_violation(quotient.ring, _quotient_image(quotient, els)) is None
-    )
-
-
-def _c22(inst):
-    ring, alpha = inst.ring, inst.alpha
-    quotient = quotient_ring(ring, inst.ideal)
-    star = induced_quotient_endo(quotient, alpha)
-    lhs_pair = alpha_prime_violation(ring, inst.ideal, alpha)
-    rhs_pair = alpha_integral_violation(quotient.ring, star)
-    lhs = lhs_pair is None
-    rhs = rhs_pair is None
-    if lhs == rhs:
-        return True, None
-    if lhs:
-        return False, ("quotient_pair", rhs_pair[0], rhs_pair[1])
-    return False, ("pair", lhs_pair[0], lhs_pair[1])
-
-
-def _r22(inst, witness):
-    ring, alpha = inst.ring, inst.alpha
-    quotient = quotient_ring(ring, inst.ideal)
-    star = induced_quotient_endo(quotient, alpha)
-    if witness[0] == "quotient_pair":
-        _tag, x, y = witness
-        zero_c = quotient.ring.zero
-        return (
-            zero_c in quotient.ring.product_of(x, y)
-            and x != zero_c
-            and star.map[y] != zero_c
-            and alpha_prime_violation(ring, inst.ideal, alpha) is None
-        )
-    _tag, x, y = witness
-    els = inst.ideal.elements
-    amap = alpha.map
-    return (
-        ring.product_of(x, y) <= els
-        and x not in els
-        and amap[y] not in els
-        and alpha_integral_violation(quotient.ring, star) is None
-    )
-
-
-def _t23_sides(inst):
-    f = inst.hom
-    src, tgt = f.source, f.target
-    image = as_hyperideal(tgt, f.image_of(inst.ideal.elements))
-    lhs_pair = alpha_prime_violation(src, inst.ideal, inst.alpha)
-    rhs_pair = alpha_prime_violation(tgt, image, inst.alpha_target)
-    return lhs_pair, rhs_pair
-
-
-def _c23(inst):
-    els = inst.ideal.elements
-    readings = []
-    if kernel(inst.alpha).elements <= els:
-        readings.append("kernel_of_alpha")
-    if kernel(inst.hom).elements <= els:
-        readings.append("kernel_of_map")
-    lhs_pair, rhs_pair = _t23_sides(inst)
-    lhs = lhs_pair is None
-    rhs = rhs_pair is None
-    if lhs == rhs:
-        return True, None
-    pair = rhs_pair if lhs else lhs_pair
-    side = "image_pair" if lhs else "pair"
-    return False, ("readings", tuple(readings), side, pair[0], pair[1])
-
-
-def _r23(inst, witness):
-    _tag, _readings, side, x, y = witness
-    f = inst.hom
-    if side == "image_pair":
-        image = f.image_of(inst.ideal.elements)
-        amap = inst.alpha_target.map
-        return (
-            f.target.product_of(x, y) <= image
-            and x not in image
-            and amap[y] not in image
-        )
-    els = inst.ideal.elements
-    amap = inst.alpha.map
-    return inst.ring.product_of(x, y) <= els and x not in els and amap[y] not in els
+def _subideal_quotients(inst):
+    """(S, R/S, alpha*, I/S) for each proper alpha-invariant subideal S of I."""
+    ring, alpha, els = inst.ring, inst.alpha, inst.ideal.elements
+    for sub in enumerate_hyperideals(ring):
+        if sub.proper and sub.elements <= els and _alpha_invariant(alpha, sub.elements):
+            quotient = quotient_ring(ring, sub)
+            star = induced_quotient_endo(quotient, alpha)
+            yield sub.elements, quotient.ring, star, _quotient_image(quotient, els)
 
 
 def _c24(inst):
-    ring, alpha = inst.ring, inst.alpha
-    els = inst.ideal.elements
-    lhs_pair = alpha_prime_violation(ring, inst.ideal, alpha)
-    lhs = lhs_pair is None
-    for sub in enumerate_hyperideals(ring):
-        if not sub.proper or not sub.elements <= els:
-            continue
-        if not _alpha_invariant(alpha, sub.elements):
-            continue
-        quotient = quotient_ring(ring, sub)
-        star = induced_quotient_endo(quotient, alpha)
-        image = _quotient_image(quotient, els)
-        rhs_pair = alpha_prime_violation(quotient.ring, image, star)
-        rhs = rhs_pair is None
-        if lhs != rhs:
-            return False, (
-                "subideal",
-                tuple(sorted(sub.elements)),
-                "quotient_pair" if lhs else "pair",
-                rhs_pair if lhs else lhs_pair,
-            )
+    lhs_pair = alpha_prime_violation(inst.ring, inst.ideal, inst.alpha)
+    for sub, qring, star, image in _subideal_quotients(inst):
+        rhs_pair = alpha_prime_violation(qring, image, star)
+        if (lhs_pair is None) != (rhs_pair is None):
+            side = "quotient_pair" if lhs_pair is None else "pair"
+            return False, ("subideal", tuple(sorted(sub)), side, rhs_pair or lhs_pair)
     return True, None
 
 
 def _r24(inst, witness):
-    _tag, sub_els, side, pair = witness
-    ring, alpha = inst.ring, inst.alpha
-    sub = as_hyperideal(ring, frozenset(sub_els))
-    quotient = quotient_ring(ring, sub)
-    star = induced_quotient_endo(quotient, alpha)
-    image = _quotient_image(quotient, inst.ideal.elements).elements
-    x, y = pair
-    if side == "quotient_pair":
-        return (
-            quotient.ring.product_of(x, y) <= image
-            and x not in image
-            and star.map[y] not in image
-        )
-    els = inst.ideal.elements
-    amap = alpha.map
-    return ring.product_of(x, y) <= els and x not in els and amap[y] not in els
-
-
-def _c25(inst):
-    product = inst.product
-    left = product.left
-    lhs = alpha_prime_violation(left, inst.left_ideal, inst.left_alpha) is None
-    lifted = product_ideal(
-        product, inst.left_ideal.elements, product.right.carrier_set()
-    )
-    rhs_pair = alpha_prime_violation(product.ring, lifted, inst.alpha)
-    rhs = rhs_pair is None
-    if lhs == rhs:
-        return True, None
-    if rhs_pair is not None:
-        return False, ("product_pair", rhs_pair[0], rhs_pair[1])
-    pair = alpha_prime_violation(left, inst.left_ideal, inst.left_alpha)
-    return False, ("factor_pair", pair[0], pair[1])
-
-
-def _r25(inst, witness):
-    product = inst.product
-    tag, x, y = witness
-    if tag == "product_pair":
-        lifted = product_ideal(
-            product, inst.left_ideal.elements, product.right.carrier_set()
-        ).elements
-        amap = inst.alpha.map
-        return (
-            product.ring.product_of(x, y) <= lifted
-            and x not in lifted
-            and amap[y] not in lifted
-        )
-    els = inst.left_ideal.elements
-    amap = inst.left_alpha.map
-    return (
-        product.left.product_of(x, y) <= els and x not in els and amap[y] not in els
-    )
-
-
-def _t26_rhs(inst):
-    product = inst.product
-    left_full = not inst.left_ideal.proper
-    right_full = not inst.right_ideal.proper
-    case_a = (
-        left_full
-        and inst.right_ideal.proper
-        and alpha_prime_violation(product.right, inst.right_ideal, inst.right_alpha) is None
-    )
-    case_b = (
-        right_full
-        and inst.left_ideal.proper
-        and alpha_prime_violation(product.left, inst.left_ideal, inst.left_alpha) is None
-    )
-    return case_a or case_b
-
-
-def _c26(inst):
-    product = inst.product
-    lhs_pair = alpha_prime_violation(product.ring, inst.ideal, inst.alpha)
-    lhs = lhs_pair is None
-    rhs = _t26_rhs(inst)
-    if lhs == rhs:
-        return True, None
-    if lhs:
-        return False, ("sides", "product_prime_but_factors_not")
-    return False, ("product_pair", lhs_pair[0], lhs_pair[1])
-
-
-def _r26(inst, witness):
-    if witness[0] == "sides":
-        return (
-            alpha_prime_violation(inst.product.ring, inst.ideal, inst.alpha) is None
-            and not _t26_rhs(inst)
-        )
-    _tag, x, y = witness
-    els = inst.ideal.elements
-    amap = inst.alpha.map
-    return (
-        inst.product.ring.product_of(x, y) <= els
-        and x not in els
-        and amap[y] not in els
-        and _t26_rhs(inst)
-    )
+    """The pair re-verifies on its side while the other side holds."""
+    _tag, sub_els, side, (x, y) = witness
+    lhs = (inst.ring, inst.ideal, inst.alpha)
+    for sub, qring, star, image in _subideal_quotients(inst):
+        if sub == frozenset(sub_els):
+            rhs = (qring, image, star)
+            (ring, ideal, alpha), other = (rhs, lhs) if side == "quotient_pair" else (lhs, rhs)
+            return _pair_holds(ring, ideal.elements, alpha.map, x, y) and is_alpha_prime(*other)
+    return False
 
 
 def _c27(inst):
     inter, d, c = radical_detail(inst.ring, inst.ideal.elements)
-    missing = _violation_element(d, inter)
-    if missing is not None:
-        return False, ("subset_violation", missing)
-    if d == inter:
+    if not d <= inter:
+        return _smallest("subset_violation", d - inter)
+    if d == inter or c == C_NO:
         return True, None
     if c == C_YES:
-        return False, ("equality_violation", _violation_element(inter, d))
-    if c == C_NO:
-        return True, None
+        return _smallest("equality_violation", inter - d)
     return None, ("cap", "product-set closure capped; C-status unknown")
 
 
@@ -1159,39 +844,15 @@ def _r27(inst, witness):
     return (x in inter) != (x in d)
 
 
-def _c28(inst):
-    inter, _d, _c = radical_detail(inst.ring, inst.ideal.elements)
-    bad = hyperideal_violation(inst.ring, inter)
-    if bad is not None:
-        return False, ("not_hyperideal", bad)
-    root = as_hyperideal(inst.ring, inter)
-    pair = prime_violation(inst.ring, root)
-    if pair is not None:
-        return False, ("pair", pair[0], pair[1])
-    return True, None
-
-
-def _r28(inst, witness):
-    inter, _d, _c = radical_detail(inst.ring, inst.ideal.elements)
-    if witness[0] == "not_hyperideal":
-        return hyperideal_violation(inst.ring, inter) is not None
-    _tag, x, y = witness
-    return inst.ring.product_of(x, y) <= inter and x not in inter and y not in inter
-
-
 # ---------------------------------------------------------------------------
 # the catalog
 
 
-def _mk(tid, sig, statement, hyps, conclude, recheck):
-    return TheoremCheck(
-        tid=tid,
-        signature=sig,
-        statement=statement,
-        hypotheses=tuple(hyps),
-        conclude=conclude,
-        recheck=recheck,
-    )
+def _mk(tid, sig, statement, hyps, claim):
+    def recheck(inst, witness):
+        return witness[0] in claim.tags and claim.recheck(inst, witness)
+
+    return TheoremCheck(tid, sig, statement, tuple(hyps), claim.conclude, recheck)
 
 
 _COMM = ("ring commutative", h_commutative)
@@ -1212,58 +873,68 @@ def catalog() -> tuple:
             "T01", rai,
             "an alpha-prime hyperideal is carried into itself by alpha",
             (_COMM, _PROPER, _APRIME, ("ring has identity", h_has_identity)),
-            _c01, _r01,
+            _inside("element", lambda i: i.ideal.elements, _alpha_preimage),
         ),
         _mk(
             "T02", rai,
             "the prime radical of an alpha-prime C-hyperideal is alpha-prime",
             (_COMM, _PROPER, _APRIME, _CSTAT, ("radical proper", h_radical_proper)),
-            _c02, _r02,
+            _ideal_absorbs(_radical, _alpha),
         ),
         _mk(
             "T03", rai,
             "the alpha-preimage of an alpha-prime hyperideal is alpha-prime "
             "(and contains it, given an identity and C-status)",
             (_COMM, _PROPER, _APRIME, ("alpha-preimage proper", h_alpha_preimage_proper)),
-            _c03, _r03,
+            _first(
+                _ideal_absorbs(lambda i: (i.ring, _alpha_preimage(i)), _alpha),
+                _when(
+                    lambda i: i.ring.props.identity is not None and i.ideal.c_status == C_YES,
+                    _inside("not_contained", lambda i: i.ideal.elements, _alpha_preimage),
+                ),
+            ),
         ),
         _mk(
             "T04", rai,
             "an alpha-prime hyperideal maximal among alpha-invariant proper "
             "hyperideals is prime",
             (_COMM, _PROPER, _APRIME, ("maximal among alpha-invariant", h_invariance_maximal)),
-            _c04, _r04,
+            _absorbs("pair", _ideal),
         ),
         _mk(
             "T05", rai,
             "alpha-primeness is equivalent to the ideal-pair absorption law",
             (_COMM, _PROPER),
-            _c05, _r05,
+            _T05,
         ),
         _mk(
             "T06", rai,
             "every proper residual of an alpha-prime hyperideal is alpha-prime",
             (_COMM, _PROPER, _APRIME),
-            _c06, _r06,
+            Claim(("colon_pair",), _c06, _r06),
         ),
         _mk(
             "T07", rai,
             "powers falling into an alpha-prime C-hyperideal force the "
             "alpha-image of the base inside",
             (_COMM, _PROPER, _APRIME, _CSTAT),
-            _c07, _r07,
+            _inside("element", _power_members, _alpha_preimage),
         ),
         _mk(
             "T08", rai,
             "powers of alpha-images falling inside force the squared image in",
             (_COMM, _PROPER, _APRIME, _CSTAT),
-            _c08, _r08,
+            _inside(
+                "element",
+                lambda i: i.alpha.preimage_of(_power_members(i)),
+                lambda i: i.alpha.preimage_of(_alpha_preimage(i)),
+            ),
         ),
         _mk(
             "T09", ra,
             "with a scalar identity, the alpha-nilradical is a hyperideal",
             (_COMM, ("ring has scalar identity", h_scalar_identity)),
-            _c09, _r09,
+            _is_ideal(lambda i: (i.ring, _nil(i))),
         ),
         _mk(
             "T10", KIND_HOM,
@@ -1276,13 +947,13 @@ def catalog() -> tuple:
                 ("target ideal alpha-prime", h_target_ideal_alpha_prime),
                 ("preimage proper", h_hom_preimage_proper),
             ),
-            _c10, _r10,
+            _ideal_absorbs(lambda i: (i.ring, _hom_preimage(i)), _alpha),
         ),
         _mk(
             "T11", ra,
             "the kernel of alpha lies inside every alpha-prime hyperideal",
             (_COMM,),
-            _c11, _r11,
+            _inside("element", lambda i: kernel(i.alpha).elements, _alpha_prime_meet),
         ),
         _mk(
             "T12", ra,
@@ -1293,7 +964,7 @@ def catalog() -> tuple:
                 ("zero ideal prime", h_zero_ideal_prime),
                 ("kernel proper", h_kernel_proper),
             ),
-            _c12, _r12,
+            _absorbs("pair", lambda i: (i.ring, kernel(i.alpha).elements)),
         ),
         _mk(
             "T13", ra,
@@ -1305,20 +976,23 @@ def catalog() -> tuple:
                 ("zero ideal proper", h_zero_ideal_proper),
                 ("zero ideal prime", h_zero_ideal_prime),
             ),
-            _c13, _r13,
+            _equal("element", _nil, _alpha_prime_meet),
         ),
         _mk(
             "T14", ra,
             "the alpha-nilradical equals the alpha-radical of the zero ideal",
             (_COMM, _ABSORB, ("zero ideal C-hyperideal", h_zero_ideal_c)),
-            _c14, _r14,
+            _first(
+                _inside("subset_violation", _nil, _zero_radical),
+                _equal("equality_violation", _nil, _zero_radical),
+            ),
         ),
         _mk(
             "T15", ra,
             "alpha-radicals are monotone and satisfy the sum and "
             "product/intersection laws",
             (_COMM, _ABSORB),
-            _c15, _r15,
+            Claim(("monotone", "product_law", "sum_law"), _c15, _r15),
         ),
         _mk(
             "T16", rai,
@@ -1330,7 +1004,7 @@ def catalog() -> tuple:
                 ("ring has scalar identity", h_scalar_identity),
                 ("alpha fixes the identity", h_alpha_fixes_identity),
             ),
-            _c16, _r16,
+            Claim(("fullness", "power_radical"), _c16, _r16),
         ),
         _mk(
             "T17", KIND_HOM,
@@ -1341,7 +1015,20 @@ def catalog() -> tuple:
                 ("rings zero-absorbing", h_hom_zero_absorbing),
                 ("maps commute", h_commutes),
             ),
-            _c17, _r17,
+            _first(
+                _inside("image_law", _source_radical_image, _image_radical),
+                _inside(
+                    "preimage_law",
+                    lambda i: alpha_radical(i.hom.source, _hom_preimage(i), i.alpha),
+                    lambda i: i.hom.preimage_of(
+                        alpha_radical(i.hom.target, i.ideal_target.elements, i.alpha_target)
+                    ),
+                ),
+                _when(
+                    lambda i: i.hom.is_surjective and i.hom.is_injective,
+                    _inside("iso_equality", _image_radical, _source_radical_image),
+                ),
+            ),
         ),
         _mk(
             "T18", rai,
@@ -1354,21 +1041,31 @@ def catalog() -> tuple:
                 ("premise: products collapse into the radical", h_t18_premise),
                 ("alpha-radical proper", h_alpha_radical_proper),
             ),
-            _c18, _r18,
+            _ideal_absorbs(lambda i: (i.ring, alpha_radical(i.ring, i.ideal.elements, i.alpha)), _alpha),
         ),
         _mk(
             "T19", rai,
             "alpha-primeness is equivalent to every zero-divisor coset of "
             "the quotient having its alpha-image inside the ideal",
             (_COMM, _PROPER, _CSTAT),
-            _c19, _r19,
+            _iff(
+                _absorbs("pair", _ideal, _alpha),
+                _inside("coset", _quotient_zero_divisors, _cosets_in_alpha_preimage),
+            ),
         ),
         _mk(
             "T20", ri,
             "primeness is equivalent to the quotient having no nonzero "
             "zero divisors",
             (_COMM, _PROPER, _CSTAT),
-            _c20, _r20,
+            _iff(
+                _absorbs("pair", _ideal),
+                _inside(
+                    "coset",
+                    _quotient_zero_divisors,
+                    lambda i: {quotient_ring(i.ring, i.ideal).ring.zero},
+                ),
+            ),
         ),
         _mk(
             "T21", rai,
@@ -1381,14 +1078,14 @@ def catalog() -> tuple:
                 ("alpha preserves kernel", h_alpha_preserves_kernel),
                 _PROPER,
             ),
-            _c21, _r21,
+            _iff(_absorbs("pair", _ideal, _alpha), _absorbs("quotient_pair", _image_mod_kernel)),
         ),
         _mk(
             "T22", rai,
             "alpha-primeness is equivalent to the quotient being an "
             "alpha-star integral hyperdomain",
             (_COMM, _PROPER, _CSTAT, ("alpha preserves ideal", h_alpha_preserves_ideal)),
-            _c22, _r22,
+            _iff(_absorbs("pair", _ideal, _alpha), _INTEGRAL_QUOTIENT),
         ),
         _mk(
             "T23", KIND_HOM,
@@ -1402,14 +1099,23 @@ def catalog() -> tuple:
                 ("image proper", h_image_proper),
                 ("kernel containment (either reading)", h_kernel_containment_any),
             ),
-            _c23, _r23,
+            _with_readings(
+                _iff(
+                    _absorbs("pair", _ideal, _alpha),
+                    _absorbs(
+                        "image_pair",
+                        lambda i: (i.hom.target, i.hom.image_of(i.ideal.elements)),
+                        lambda i: i.alpha_target,
+                    ),
+                )
+            ),
         ),
         _mk(
             "T24", rai,
             "alpha-primeness passes to and from quotients by invariant "
             "subideals",
             (_COMM, _PROPER),
-            _c24, _r24,
+            Claim(("subideal",), _c24, _r24),
         ),
         _mk(
             "T25", KIND_PRODUCT,
@@ -1420,7 +1126,14 @@ def catalog() -> tuple:
                 ("factors have identities", h_factors_identities),
                 ("left ideal proper", h_left_ideal_proper),
             ),
-            _c25, _r25,
+            _iff(
+                _absorbs(
+                    "factor_pair",
+                    lambda i: (i.product.left, i.left_ideal.elements),
+                    lambda i: i.left_alpha,
+                ),
+                _absorbs("product_pair", _cylinder, _alpha),
+            ),
         ),
         _mk(
             "T26", KIND_PRODUCT,
@@ -1432,14 +1145,14 @@ def catalog() -> tuple:
                 ("alpha fixes factor identities", h_alpha_fixes_factor_identities),
                 ("product ideal proper", h_product_ideal_proper),
             ),
-            _c26, _r26,
+            _iff(_absorbs("product_pair", _ideal, _alpha), _ONE_SIDE_FULL),
         ),
         _mk(
             "T27", ri,
             "the power-membership set sits inside the prime radical, with "
             "equality for C-hyperideals",
             (_COMM,),
-            _c27, _r27,
+            Claim(("subset_violation", "equality_violation"), _c27, _r27),
         ),
         _mk(
             "T28", ri,
@@ -1450,7 +1163,7 @@ def catalog() -> tuple:
                 _CSTAT,
                 ("radical proper", h_radical_proper),
             ),
-            _c28, _r28,
+            _ideal_absorbs(_radical),
         ),
     )
 
@@ -1510,6 +1223,10 @@ def check(instance: Instance, theorem: TheoremCheck) -> VerdictReport:
             instance.uid, theorem.tid, STATUS_HOLDS, tuple(results),
             None, theorem.statement,
         )
+    if not theorem.recheck(instance, witness):
+        raise ConsistencyError(
+            f"{theorem.tid} witness {witness!r} does not re-verify on {instance.uid}"
+        )
     return VerdictReport(
         instance.uid, theorem.tid, STATUS_FAILS, tuple(results),
         witness, theorem.statement,
@@ -1518,8 +1235,6 @@ def check(instance: Instance, theorem: TheoremCheck) -> VerdictReport:
 
 def reverify_witness(instance: Instance, theorem: TheoremCheck, witness) -> bool:
     """Plug a fails-witness back into the violated predicate."""
-    if theorem.recheck is None:
-        return False
     return bool(theorem.recheck(instance, witness))
 
 
