@@ -23,7 +23,7 @@ from .core import (
     make_zn_multiplier_ring,
     validate_structure,
 )
-from .corpus import DEFAULT_CONFIG, generate_corpus, worked_example_records
+from .corpus import DEFAULT_CONFIG, iter_corpus, worked_example_records
 from .errors import CapExceeded, HyperRingError, ValidationError
 from .ideals import (
     DEFAULT_ENUM_CAP,
@@ -466,11 +466,12 @@ def _load_corpus_file(path: str):
 
 def _verify_records(corpus: str, selection):
     """The suite's records, then (on the whole default corpus) the worked
-    examples; the corpus is built on the first pull, after the report opens."""
+    examples; nothing is read or built before the first pull, after the
+    report opens, and the default corpus is built one ring at a time."""
     if corpus != "default":
         yield from iter_suite(_load_corpus_file(corpus), selection)
         return
-    yield from iter_suite(generate_corpus(DEFAULT_CONFIG), selection)
+    yield from iter_suite(iter_corpus(DEFAULT_CONFIG), selection)
     if selection is None:
         yield from worked_example_records()
 
@@ -549,19 +550,21 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_corpus(args, out) -> int:
-    instances = generate_corpus(DEFAULT_CONFIG)
+    """Stream the default corpus, keeping only its uids and per-kind counts."""
     by_kind = {}
-    for instance in instances:
+    uids = []
+    for instance in iter_corpus(DEFAULT_CONFIG):
         by_kind[instance.kind] = by_kind.get(instance.kind, 0) + 1
+        uids.append(instance.uid)
     if args.json:
         doc = {
-            "total": len(instances),
+            "total": len(uids),
             "by_kind": {k: by_kind[k] for k in sorted(by_kind)},
-            "instances": [i.uid for i in instances],
+            "instances": uids,
         }
         out.write(json.dumps(doc, separators=(", ", ": ")) + "\n")
     else:
-        out.write(f"total: {len(instances)}\n")
+        out.write(f"total: {len(uids)}\n")
         for kind in sorted(by_kind):
             out.write(f"{kind}: {by_kind[kind]}\n")
     return EXIT_OK

@@ -1,11 +1,19 @@
 """Deterministic instance corpus for the verification suite.
 
 The default corpus sweeps every residue ring with modulus 2..12 and up to
-three multipliers (deduplicated by hyperoperation table), pairs each with
-all of its good endomorphisms and proper hyperideals, and adds hand-coded
-fixtures: table-form rings exercising the table pathway, the order-8
-even-multiplier ring with the tripling endomorphism, and products of
-identity-bearing rings up to the order-1225 pair of 35-element rings.
+three multipliers, pairs each with all of its good endomorphisms and
+proper hyperideals, and adds hand-coded fixtures: table-form rings
+exercising the table pathway, the order-8 even-multiplier ring with the
+tripling endomorphism, and products of identity-bearing rings up to the
+order-1225 pair of 35-element rings.
+
+Rings are deduplicated by multiplier set mod n.  In Z_n[M] the cell
+1 o 1 is {1*r*1 mod n : r in M} = M mod n, so two multiplier sets give the
+same hyperoperation table exactly when they are equal mod n.
+
+:func:`iter_corpus` builds one swept ring at a time and lets it go once
+its instances are consumed, so its memo is freed before the next ring is
+built; :func:`generate_corpus` is the same instances as a cached tuple.
 """
 
 from __future__ import annotations
@@ -157,9 +165,9 @@ def large_product() -> ProductRing:
 # corpus generation
 
 
-def _zn_sweep(config: CorpusConfig) -> list:
-    rings = []
-    seen_tables = set()
+def _rings(config: CorpusConfig):
+    """The swept residue rings, one per multiplier set mod n, then the
+    fixtures; each ring is built when it is pulled."""
     for n in range(config.modulus_min, config.modulus_max + 1):
         if config.multiplier_sets is not None:
             families = [
@@ -172,27 +180,19 @@ def _zn_sweep(config: CorpusConfig) -> list:
                 for size in range(1, min(config.max_multipliers, n) + 1)
                 for subset in combinations(range(n), size)
             ]
-        for subset in families:
-            if not subset:
-                continue
-            ring = make_zn_multiplier_ring(n, subset)
-            key = (n, ring.hyp)
-            if key in seen_tables:
-                continue
-            seen_tables.add(key)
-            rings.append(ring)
-    return rings
+        for subset in dict.fromkeys(families):
+            if subset:
+                yield make_zn_multiplier_ring(n, subset)
+    if config.include_fixtures:
+        yield fixture_weak_identity()
+        yield fixture_inclusion_only()
+        yield fixture_full_cell()
+        yield fixture_even_multipliers()
 
 
 @lru_cache(maxsize=None)
 def corpus_rings(config: CorpusConfig = DEFAULT_CONFIG) -> tuple:
-    rings = _zn_sweep(config)
-    if config.include_fixtures:
-        rings.append(fixture_weak_identity())
-        rings.append(fixture_inclusion_only())
-        rings.append(fixture_full_cell())
-        rings.append(fixture_even_multipliers())
-    return tuple(rings)
+    return tuple(_rings(config))
 
 
 def _ring_instances(ring: HyperRing) -> list:
@@ -333,19 +333,32 @@ def _product_instances(product: ProductRing, alpha_pairs, tag="") -> list:
     return instances
 
 
+def iter_corpus(config: CorpusConfig = DEFAULT_CONFIG):
+    """The instances of :func:`generate_corpus`, in the same order, built
+    lazily: each swept ring is dropped once its instances are consumed,
+    except the rings the hom and product sections name."""
+    return _instances(config, _rings(config))
+
+
 @lru_cache(maxsize=None)
 def generate_corpus(config: CorpusConfig = DEFAULT_CONFIG) -> tuple:
     """The full deterministic instance list for a configuration."""
-    rings = corpus_rings(config)
-    by_name = {ring.name: ring for ring in rings}
-    instances = []
+    return tuple(_instances(config, corpus_rings(config)))
+
+
+def _instances(config: CorpusConfig, rings):
+    """The corpus over ``rings``, holding on only to the rings it names."""
+    named = set(config.hom_ring_names).union(*config.product_pair_names)
+    by_name = {}
     for ring in rings:
-        instances.extend(_ring_instances(ring))
+        if ring.name in named:
+            by_name[ring.name] = ring
+        yield from _ring_instances(ring)
     if config.include_homs:
         for name in config.hom_ring_names:
             ring = by_name.get(name)
             if ring is not None:
-                instances.extend(_hom_instances(ring))
+                yield from _hom_instances(ring)
     if config.include_products:
         for left_name, right_name in config.product_pair_names:
             left = by_name.get(left_name)
@@ -358,7 +371,7 @@ def generate_corpus(config: CorpusConfig = DEFAULT_CONFIG) -> tuple:
                 for a1 in enumerate_endomorphisms(left)
                 for a2 in enumerate_endomorphisms(right)
             ]
-            instances.extend(_product_instances(product, endo_pairs))
+            yield from _product_instances(product, endo_pairs)
     if config.include_large_product:
         product = large_product()
         from .morphisms import identity_endomorphism
@@ -386,21 +399,18 @@ def generate_corpus(config: CorpusConfig = DEFAULT_CONFIG) -> tuple:
                     f"|I1={_ideal_key(l_ideal.elements)}"
                     f"|I2={_ideal_key(r_ideal.elements)}"
                 )
-                instances.append(
-                    Instance(
-                        uid=uid,
-                        kind=KIND_PRODUCT,
-                        ring=product.ring,
-                        product=product,
-                        ideal=box,
-                        alpha=abar,
-                        left_ideal=l_ideal,
-                        right_ideal=r_ideal,
-                        left_alpha=id_left,
-                        right_alpha=id_right,
-                    )
+                yield Instance(
+                    uid=uid,
+                    kind=KIND_PRODUCT,
+                    ring=product.ring,
+                    product=product,
+                    ideal=box,
+                    alpha=abar,
+                    left_ideal=l_ideal,
+                    right_ideal=r_ideal,
+                    left_alpha=id_left,
+                    right_alpha=id_right,
                 )
-    return tuple(instances)
 
 
 # ---------------------------------------------------------------------------

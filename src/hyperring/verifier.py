@@ -364,7 +364,8 @@ class Claim:
     """``conclude(inst)`` gives (ok, witness); a witness is the first
     violation in canonical order, a tuple led by one of ``tags``.
     ``recheck(inst, witness)`` plugs it back into the predicate and
-    recomputes every set it names.
+    recomputes every set it names; a witness of the wrong length does
+    not re-verify.
     """
 
     tags: tuple
@@ -391,6 +392,11 @@ def _pair_holds(ring, elements, amap, x, y):
     )
 
 
+def _sized(n, recheck):
+    """``recheck``, refusing any witness that is not ``n`` fields long."""
+    return lambda inst, witness: len(witness) == n and recheck(inst, witness)
+
+
 def _absorbs(tag, subject, twist=None, ideal=False):
     """The pair test on ``subject(inst) = (ring, S)``: x o y inside S forces
     x in S or twist(y) in S; with no twist it tests primeness.  With
@@ -408,9 +414,9 @@ def _absorbs(tag, subject, twist=None, ideal=False):
     def recheck(inst, witness):
         ring, els = subject(inst)
         if witness[0] == "not_hyperideal":
-            return hyperideal_violation(ring, els) is not None
+            return len(witness) == 2 and hyperideal_violation(ring, els) is not None
         amap = twist(inst).map if twist else None
-        return _pair_holds(ring, els, amap, witness[1], witness[2])
+        return len(witness) == 3 and _pair_holds(ring, els, amap, *witness[1:])
 
     return Claim(("not_hyperideal", tag) if ideal else (tag,), conclude, recheck)
 
@@ -427,7 +433,7 @@ def _is_ideal(subject):
         return (True, None) if bad is None else (False, ("not_hyperideal", bad))
 
     def recheck(inst, witness):
-        return hyperideal_violation(*subject(inst)) is not None
+        return len(witness) == 2 and hyperideal_violation(*subject(inst)) is not None
 
     return Claim(("not_hyperideal",), conclude, recheck)
 
@@ -442,7 +448,7 @@ def _inside(tag, sub, sup):
     return Claim(
         (tag,),
         lambda inst: _smallest(tag, sub(inst) - sup(inst)),
-        lambda inst, witness: witness[1] in sub(inst) and witness[1] not in sup(inst),
+        _sized(2, lambda inst, witness: witness[1] in sub(inst) and witness[1] not in sup(inst)),
     )
 
 
@@ -452,7 +458,7 @@ def _equal(tag, a, b):
     return Claim(
         (tag,),
         lambda inst: _smallest(tag, a(inst) ^ b(inst)),
-        lambda inst, witness: (witness[1] in a(inst)) != (witness[1] in b(inst)),
+        _sized(2, lambda inst, witness: (witness[1] in a(inst)) != (witness[1] in b(inst))),
     )
 
 
@@ -598,7 +604,7 @@ def _ideal_pair_holds(inst, witness):
 
 
 # L o R inside I forces L inside I or alpha(R) inside I, over hyperideals L, R.
-_IDEAL_PAIRS = Claim(("ideal_pair",), _ideal_pair_violation, _ideal_pair_holds)
+_IDEAL_PAIRS = Claim(("ideal_pair",), _ideal_pair_violation, _sized(3, _ideal_pair_holds))
 
 _T05 = _iff(_absorbs("pair", _ideal, _alpha), _IDEAL_PAIRS)
 _c05 = _T05.conclude
@@ -626,7 +632,9 @@ def _integral_pair_holds(inst, witness):
 
 
 # 0 in x o y forces x = 0 or alpha*(y) = 0 in R/I.
-_INTEGRAL_QUOTIENT = Claim(("quotient_pair",), _integral_violation, _integral_pair_holds)
+_INTEGRAL_QUOTIENT = Claim(
+    ("quotient_pair",), _integral_violation, _sized(3, _integral_pair_holds)
+)
 
 
 def _t23_readings(inst):
@@ -646,7 +654,10 @@ def _with_readings(claim):
         return (True, None) if ok else (False, ("readings", _t23_readings(inst), *witness))
 
     def recheck(inst, witness):
-        return tuple(witness[1]) == _t23_readings(inst) and claim.recheck(inst, witness[2:])
+        return (
+            len(witness) > 2 and tuple(witness[1]) == _t23_readings(inst)
+            and claim.recheck(inst, witness[2:])
+        )
 
     return Claim(("readings",), conclude, recheck)
 
@@ -666,7 +677,7 @@ def _t26_rhs(inst):
 _ONE_SIDE_FULL = Claim(
     ("sides",),
     lambda inst: (True, None) if _t26_rhs(inst) else (False, ("sides", "product_prime_but_factors_not")),
-    lambda inst, witness: not _t26_rhs(inst),
+    _sized(2, lambda inst, _witness: not _t26_rhs(inst)),
 )
 
 
@@ -711,8 +722,7 @@ def _c06(inst):
 
 def _r06(inst, witness):
     _tag, subset, x, y = witness
-    subset = frozenset(subset)
-    if not subset <= inst.ring.carrier_set():
+    if not isinstance(subset, tuple) or not set(subset) <= inst.ring.carrier_set():
         return False
     res = _colon_elements(inst.ring, inst.ideal.elements, subset)
     return _pair_holds(inst.ring, res, inst.alpha.map, x, y)
@@ -815,13 +825,16 @@ def _c24(inst):
 
 def _r24(inst, witness):
     """The pair re-verifies on its side while the other side holds."""
-    _tag, sub_els, side, (x, y) = witness
+    _tag, sub_els, side, pair = witness
     lhs = (inst.ring, inst.ideal, inst.alpha)
     for sub, qring, star, image in _subideal_quotients(inst):
         if sub == frozenset(sub_els):
             rhs = (qring, image, star)
             (ring, ideal, alpha), other = (rhs, lhs) if side == "quotient_pair" else (lhs, rhs)
-            return _pair_holds(ring, ideal.elements, alpha.map, x, y) and is_alpha_prime(*other)
+            return (
+                len(pair) == 2 and _pair_holds(ring, ideal.elements, alpha.map, *pair)
+                and is_alpha_prime(*other)
+            )
     return False
 
 
@@ -850,7 +863,7 @@ def _r27(inst, witness):
 
 def _mk(tid, sig, statement, hyps, claim):
     def recheck(inst, witness):
-        return witness[0] in claim.tags and claim.recheck(inst, witness)
+        return bool(witness) and witness[0] in claim.tags and claim.recheck(inst, witness)
 
     return TheoremCheck(tid, sig, statement, tuple(hyps), claim.conclude, recheck)
 
@@ -911,7 +924,7 @@ def catalog() -> tuple:
             "T06", rai,
             "every proper residual of an alpha-prime hyperideal is alpha-prime",
             (_COMM, _PROPER, _APRIME),
-            Claim(("colon_pair",), _c06, _r06),
+            Claim(("colon_pair",), _c06, _sized(4, _r06)),
         ),
         _mk(
             "T07", rai,
@@ -992,7 +1005,7 @@ def catalog() -> tuple:
             "alpha-radicals are monotone and satisfy the sum and "
             "product/intersection laws",
             (_COMM, _ABSORB),
-            Claim(("monotone", "product_law", "sum_law"), _c15, _r15),
+            Claim(("monotone", "product_law", "sum_law"), _c15, _sized(3, _r15)),
         ),
         _mk(
             "T16", rai,
@@ -1004,7 +1017,7 @@ def catalog() -> tuple:
                 ("ring has scalar identity", h_scalar_identity),
                 ("alpha fixes the identity", h_alpha_fixes_identity),
             ),
-            Claim(("fullness", "power_radical"), _c16, _r16),
+            Claim(("fullness", "power_radical"), _c16, _sized(2, _r16)),
         ),
         _mk(
             "T17", KIND_HOM,
@@ -1115,7 +1128,7 @@ def catalog() -> tuple:
             "alpha-primeness passes to and from quotients by invariant "
             "subideals",
             (_COMM, _PROPER),
-            Claim(("subideal",), _c24, _r24),
+            Claim(("subideal",), _c24, _sized(4, _r24)),
         ),
         _mk(
             "T25", KIND_PRODUCT,
@@ -1152,7 +1165,7 @@ def catalog() -> tuple:
             "the power-membership set sits inside the prime radical, with "
             "equality for C-hyperideals",
             (_COMM,),
-            Claim(("subset_violation", "equality_violation"), _c27, _r27),
+            Claim(("subset_violation", "equality_violation"), _c27, _sized(2, _r27)),
         ),
         _mk(
             "T28", ri,

@@ -1,7 +1,9 @@
 import errno
+import hashlib
 import io
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -15,6 +17,7 @@ from hyperring.cli import (
     main,
 )
 from hyperring import make_zn_multiplier_ring, render_report, run_suite
+from hyperring.corpus import DEFAULT_CONFIG, generate_corpus
 
 
 @pytest.fixture()
@@ -382,7 +385,7 @@ class TestVerifyReport:
         def build(*_args):
             pytest.fail("the corpus was built before the report path was checked")
 
-        monkeypatch.setattr(cli, "generate_corpus", build)
+        monkeypatch.setattr(cli, "iter_corpus", build)
         monkeypatch.setattr(cli, "_load_corpus_file", build)
 
     def test_report_in_missing_directory_exits_2_before_the_corpus(self, tmp_path, no_corpus):
@@ -416,3 +419,19 @@ class TestCorpusCommand:
         assert code == EXIT_OK
         assert "total:" in text
         assert "ring_alpha_ideal:" in text
+
+    def test_streamed_output_lists_the_generated_corpus(self):
+        corpus = generate_corpus(DEFAULT_CONFIG)
+        kinds = sorted(Counter(inst.kind for inst in corpus).items())
+        text = f"total: {len(corpus)}\n" + "".join(f"{kind}: {n}\n" for kind, n in kinds)
+        assert run_cli("corpus") == (EXIT_OK, text)
+        code, text = run_cli("corpus", "--json")
+        assert code == EXIT_OK
+        assert json.loads(text) == {
+            "total": len(corpus),
+            "by_kind": dict(kinds),
+            "instances": [inst.uid for inst in corpus],
+        }
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9bc0967f9c4d4f2788dfb90d01f4a66d544e5b279a13781a3b4112b6eb2a670d"
+        )

@@ -1,5 +1,12 @@
+import dataclasses
+import gc
+import weakref
 from collections import Counter
+from itertools import combinations
 
+import pytest
+
+from hyperring.core import make_zn_multiplier_ring
 from hyperring.corpus import (
     CorpusConfig,
     corpus_rings,
@@ -9,9 +16,16 @@ from hyperring.corpus import (
     fixture_inclusion_only,
     fixture_weak_identity,
     generate_corpus,
+    iter_corpus,
     large_product,
 )
-from hyperring.verifier import KIND_PRODUCT, KIND_RING_ALPHA_IDEAL
+from hyperring.verifier import (
+    KIND_PRODUCT,
+    KIND_RING_ALPHA,
+    KIND_RING_ALPHA_IDEAL,
+    KIND_RING_IDEAL,
+    iter_suite,
+)
 
 
 class TestFixtures:
@@ -102,3 +116,72 @@ class TestGeneration:
             i for i in big if i.left_ideal.proper and i.right_ideal.proper
         )
         assert len(box.ideal.elements) == 35
+
+
+def _table_keyed_sweep(config):
+    """The swept ring names under the old key: one ring per (n, table)."""
+    seen, names = set(), []
+    for n in range(config.modulus_min, config.modulus_max + 1):
+        if config.multiplier_sets is not None:
+            families = [tuple(sorted({m % n for m in f})) for f in config.multiplier_sets]
+        else:
+            families = [
+                subset
+                for size in range(1, min(config.max_multipliers, n) + 1)
+                for subset in combinations(range(n), size)
+            ]
+        for subset in filter(None, families):
+            ring = make_zn_multiplier_ring(n, subset)
+            if (n, ring.hyp) not in seen:
+                seen.add((n, ring.hyp))
+                names.append(ring.name)
+    return names
+
+
+class TestStreaming:
+    def test_iter_corpus_yields_the_generated_corpus(self):
+        streamed = iter_corpus(DEFAULT_CONFIG)
+        assert not isinstance(streamed, (list, tuple))
+        assert [i.uid for i in streamed] == [i.uid for i in generate_corpus(DEFAULT_CONFIG)]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            DEFAULT_CONFIG,
+            # 13 = 1 mod 2, 3, 4, 6 and 12, and {1, 25} = {1} mod 2, 3, 4, 6, 8, 12 and 24.
+            CorpusConfig(modulus_max=26, multiplier_sets=((1,), (13,), (1, 25))),
+        ],
+        ids=["default", "colliding"],
+    )
+    def test_multiplier_set_key_keeps_the_table_key_rings(self, config):
+        config = dataclasses.replace(config, include_fixtures=False)
+        expected = _table_keyed_sweep(config)
+        assert [r.name for r in corpus_rings(config)] == expected
+        if config.multiplier_sets is not None:
+            moduli = config.modulus_max - config.modulus_min + 1
+            assert len(expected) < len(config.multiplier_sets) * moduli
+
+    def test_streamed_verify_holds_one_swept_ring_at_a_time(self):
+        config = CorpusConfig(modulus_min=2, modulus_max=7)
+        named = set(config.hom_ring_names).union(*config.product_pair_names)
+        fixtures = {fixture_weak_identity(), fixture_inclusion_only(),
+                    fixture_full_cell(), fixture_even_multipliers()}
+        swept = []
+
+        def watched(instances):
+            for inst in instances:
+                ring = inst.ring
+                if (inst.kind in (KIND_RING_ALPHA, KIND_RING_IDEAL, KIND_RING_ALPHA_IDEAL)
+                        and ring not in fixtures and ring.name not in named
+                        and not (swept and swept[-1]() is ring)):
+                    swept.append(weakref.ref(ring))
+                yield inst
+
+        verdicts = 0
+        for verdicts, _record in enumerate(iter_suite(watched(iter_corpus(config))), 1):
+            if verdicts % 300 == 0:
+                gc.collect()
+                assert sum(ref() is not None for ref in swept) <= 1, verdicts
+        gc.collect()
+        assert [ref for ref in swept if ref() is not None] == []
+        assert len(swept) > 100 and verdicts > 10_000

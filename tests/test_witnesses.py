@@ -233,6 +233,32 @@ def test_out_of_carrier_witnesses_do_not_reverify(conclusions, theorem):
             assert not reverify_witness(inst, theorem, _shift(witness, offset)), (inst.uid, witness)
 
 
+def _misfits(witness):
+    """The witness cut short (down to nothing) and one field too long; for
+    T24, also its pair one element short and one too long."""
+    out = [witness[:cut] for cut in range(len(witness))] + [witness + witness[-1:]]
+    if witness[0] == "subideal":
+        *head, pair = witness
+        out += [(*head, pair[:1]), (*head, pair + pair[-1:])]
+    return out
+
+
+@pytest.mark.parametrize("theorem", catalog(), ids=lambda t: t.tid)
+def test_wrong_length_witnesses_do_not_reverify(conclusions, theorem):
+    """Every tag (with T23's and T24's inner tags): a fails witness where
+    one exists, else a candidate."""
+    rows = conclusions[theorem.tid]
+    first = {}
+    for inst, witness in [(i, w) for i, ok, w in rows if ok is False] + [
+        (i, w) for i, _ok, _w in rows for w in CANDIDATES[theorem.tid](i)
+    ]:
+        first.setdefault(tuple(f for f in witness if isinstance(f, str)), (inst, witness))
+    assert first
+    for inst, witness in first.values():
+        for bad in _misfits(witness):
+            assert not reverify_witness(inst, theorem, bad), (inst.uid, bad)
+
+
 # ---------------------------------------------------------------------------
 # the shapes on hand-made subjects, where no corpus instance reaches them
 
@@ -268,6 +294,12 @@ def test_pair_shape(inst):
     assert prime.conclude(inst) == (True, None)
     assert not prime.recheck(inst, ("pair", 1, 1))  # 1 o 1 = {2} is not inside {0, 3}
     assert not prime.recheck(inst, ("pair", 1, 3))  # y inside
+
+
+def test_misshapen_witnesses_on_r6_do_not_reverify(inst):
+    by_id = {t.tid: t for t in catalog()}
+    for tid, witness in (("T04", ("pair", 1)), ("T01", ("element",)), ("T06", ("colon_pair", 1, 2, 3))):
+        assert not reverify_witness(inst, by_id[tid], witness), (tid, witness)
 
 
 def test_containment_shapes(inst):
