@@ -402,7 +402,8 @@ def validate_structure(raw: RawRing) -> HyperRing:
     """Exhaustively verify every axiom and return the validated ring.
 
     Raises the first violated axiom with a witness tuple; the property
-    record is populated as a side effect of the same sweeps.
+    record is populated as a side effect of the same sweeps.  The residue
+    tags, which select closed-form enumerations, are dropped.
     """
     n = raw.order
     if n < 1:
@@ -437,7 +438,8 @@ def validate_structure(raw: RawRing) -> HyperRing:
             )
 
     props = _scan_properties(n, raw.zero, add, hyp, strongly=strongly)
-    return HyperRing(n, raw.zero, add, neg, hyp, raw.name, props, raw.tags)
+    tags = tuple(t for t in raw.tags if t not in ("zn_multiplier", "degenerate_multiplier"))
+    return HyperRing(n, raw.zero, add, neg, hyp, raw.name, props, tags)
 
 
 def _strongly_distributive(n, add, hyp, commutative) -> bool:

@@ -48,7 +48,8 @@ class HyperIdeal:
     ``proper`` records whether the elements fall short of the full carrier;
     improper ideals are legal values (colon ideals and kernels can be
     improper) but primeness predicates refuse them.  The C-status is
-    decided lazily on first use and cached.
+    decided lazily on first use and cached.  Ideals of one ring with the
+    same elements are equal, so they share memoized results such as quotients.
     """
 
     __slots__ = ("ring", "elements", "proper", "_c_status")
@@ -58,6 +59,14 @@ class HyperIdeal:
         self.elements = elements
         self.proper = proper
         self._c_status = None
+
+    def __eq__(self, other):
+        return isinstance(other, HyperIdeal) and (
+            (self.ring, self.elements, self.proper) == (other.ring, other.elements, other.proper)
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.elements, self.proper))
 
     def __repr__(self):
         from .core import fmt_set
@@ -188,30 +197,31 @@ def _subgroup_closure(ring: HyperRing, seed: frozenset) -> frozenset:
 def enumerate_hyperideals(ring: HyperRing, max_order: int = DEFAULT_ENUM_CAP) -> tuple:
     """All hyperideals (including the improper full ring), canonically sorted.
 
-    Additive subgroups are grown by closing generators; the absorption test
-    filters them down to hyperideals.
+    On a residue ring Z_n[M] they are the subgroups dZ_n for d | n, since
+    d | x gives d | x*r*y.  Elsewhere additive subgroups are grown by
+    closing generators, and the absorption test filters them down.
     """
     if ring.order > max_order:
         raise CapExceeded(
             f"hyperideal enumeration capped at order {max_order}, "
             f"{ring.name} has order {ring.order}"
         )
-    base = frozenset((ring.zero,))
-    found = {base}
-    frontier = [base]
-    while frontier:
-        group = frontier.pop()
-        for g in range(ring.order):
-            if g in group:
-                continue
-            bigger = _subgroup_closure(ring, group | {g})
-            if bigger not in found:
-                found.add(bigger)
-                frontier.append(bigger)
-    ideals = []
-    for group in found:
-        if hyperideal_violation(ring, group) is None:
-            ideals.append(group)
+    n = ring.order
+    if "zn_multiplier" in ring.tags:
+        ideals = [frozenset(range(0, n, d)) for d in range(1, n + 1) if n % d == 0]
+    else:
+        found = {frozenset((ring.zero,))}
+        frontier = list(found)
+        while frontier:
+            group = frontier.pop()
+            for g in range(n):
+                if g in group:
+                    continue
+                bigger = _subgroup_closure(ring, group | {g})
+                if bigger not in found:
+                    found.add(bigger)
+                    frontier.append(bigger)
+        ideals = [g for g in found if hyperideal_violation(ring, g) is None]
     ideals.sort(key=lambda s: (len(s), sorted(s)))
     return tuple(
         HyperIdeal(ring, s, proper=len(s) < ring.order) for s in ideals

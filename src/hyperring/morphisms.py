@@ -206,20 +206,24 @@ def _additive_maps(ring: HyperRing) -> list:
 
 @memoized
 def enumerate_endomorphisms(ring: HyperRing, max_order: int = DEFAULT_ENUM_CAP) -> tuple:
-    """All good endomorphisms, canonically ordered by image table."""
+    """All good endomorphisms, canonically ordered by image table.
+
+    On Z_n[M], with M = 1 o 1, they are the x -> kx with kM = k^2 M as sets:
+    a = b = 1 gives the condition, and multiplying it by ab gives the law.
+    """
     if ring.order > max_order:
         raise CapExceeded(
             f"endomorphism enumeration capped at order {max_order}, "
             f"{ring.name} has order {ring.order}"
         )
-    found = []
-    for table in sorted(set(_additive_maps(ring))):
-        if good_homomorphism_violation(table, ring, ring) is None:
-            found.append(table)
-    endos = []
-    for table in found:
-        endos.append(Homomorphism(ring, ring, table, _endo_name(ring, table)))
-    return tuple(endos)
+    if "zn_multiplier" in ring.tags:
+        n, mult = ring.order, ring.hyp[1][1]
+        found = sorted(tuple(k * x % n for x in range(n)) for k in range(n)
+                       if {k * m % n for m in mult} == {k * k * m % n for m in mult})
+    else:
+        found = [table for table in sorted(set(_additive_maps(ring)))
+                 if good_homomorphism_violation(table, ring, ring) is None]
+    return tuple(Homomorphism(ring, ring, table, _endo_name(ring, table)) for table in found)
 
 
 def _endo_name(ring: HyperRing, table: tuple) -> str:

@@ -392,9 +392,13 @@ def _pair_holds(ring, elements, amap, x, y):
     )
 
 
-def _sized(n, recheck):
-    """``recheck``, refusing any witness that is not ``n`` fields long."""
-    return lambda inst, witness: len(witness) == n and recheck(inst, witness)
+def _sized(n, recheck, tuples=()):
+    """``recheck``, refusing any witness that is not ``n`` fields long, or
+    whose set- or pair-valued fields (at positions ``tuples``) are not tuples."""
+    return lambda inst, witness: (
+        len(witness) == n and all(isinstance(witness[i], tuple) for i in tuples)
+        and recheck(inst, witness)
+    )
 
 
 def _absorbs(tag, subject, twist=None, ideal=False):
@@ -604,7 +608,7 @@ def _ideal_pair_holds(inst, witness):
 
 
 # L o R inside I forces L inside I or alpha(R) inside I, over hyperideals L, R.
-_IDEAL_PAIRS = Claim(("ideal_pair",), _ideal_pair_violation, _sized(3, _ideal_pair_holds))
+_IDEAL_PAIRS = Claim(("ideal_pair",), _ideal_pair_violation, _sized(3, _ideal_pair_holds, (1, 2)))
 
 _T05 = _iff(_absorbs("pair", _ideal, _alpha), _IDEAL_PAIRS)
 _c05 = _T05.conclude
@@ -655,7 +659,7 @@ def _with_readings(claim):
 
     def recheck(inst, witness):
         return (
-            len(witness) > 2 and tuple(witness[1]) == _t23_readings(inst)
+            len(witness) > 2 and witness[1] == _t23_readings(inst)
             and claim.recheck(inst, witness[2:])
         )
 
@@ -722,7 +726,7 @@ def _c06(inst):
 
 def _r06(inst, witness):
     _tag, subset, x, y = witness
-    if not isinstance(subset, tuple) or not set(subset) <= inst.ring.carrier_set():
+    if not set(subset) <= inst.ring.carrier_set():
         return False
     res = _colon_elements(inst.ring, inst.ideal.elements, subset)
     return _pair_holds(inst.ring, res, inst.alpha.map, x, y)
@@ -731,6 +735,7 @@ def _r06(inst, witness):
 def _c15(inst):
     ring, alpha = inst.ring, inst.alpha
     radicals = {}
+    outer = {}  # (rad(A), rad(B)) -> rad(rad(A) + rad(B)); ideal pairs repeat radical pairs
 
     def rad(subset):
         if subset not in radicals:
@@ -745,7 +750,9 @@ def _c15(inst):
         if not (rad(prod) == rad(meet) == ra & rb):
             return False, ("product_law", tuple(sorted(ea)), tuple(sorted(eb)))
         if invariant[ea] and invariant[eb]:
-            if not rad(plus) <= rad(set_sum(ring, ra, rb)):
+            if (ra, rb) not in outer:
+                outer[ra, rb] = rad(set_sum(ring, ra, rb))
+            if not rad(plus) <= outer[ra, rb]:
                 return False, ("sum_law", tuple(sorted(ea)), tuple(sorted(eb)))
     return True, None
 
@@ -924,7 +931,7 @@ def catalog() -> tuple:
             "T06", rai,
             "every proper residual of an alpha-prime hyperideal is alpha-prime",
             (_COMM, _PROPER, _APRIME),
-            Claim(("colon_pair",), _c06, _sized(4, _r06)),
+            Claim(("colon_pair",), _c06, _sized(4, _r06, (1,))),
         ),
         _mk(
             "T07", rai,
@@ -1005,7 +1012,7 @@ def catalog() -> tuple:
             "alpha-radicals are monotone and satisfy the sum and "
             "product/intersection laws",
             (_COMM, _ABSORB),
-            Claim(("monotone", "product_law", "sum_law"), _c15, _sized(3, _r15)),
+            Claim(("monotone", "product_law", "sum_law"), _c15, _sized(3, _r15, (1, 2))),
         ),
         _mk(
             "T16", rai,
@@ -1017,7 +1024,7 @@ def catalog() -> tuple:
                 ("ring has scalar identity", h_scalar_identity),
                 ("alpha fixes the identity", h_alpha_fixes_identity),
             ),
-            Claim(("fullness", "power_radical"), _c16, _sized(2, _r16)),
+            Claim(("fullness", "power_radical"), _c16, _sized(2, _r16, (1,))),
         ),
         _mk(
             "T17", KIND_HOM,
@@ -1128,7 +1135,7 @@ def catalog() -> tuple:
             "alpha-primeness passes to and from quotients by invariant "
             "subideals",
             (_COMM, _PROPER),
-            Claim(("subideal",), _c24, _sized(4, _r24)),
+            Claim(("subideal",), _c24, _sized(4, _r24, (1, 3))),
         ),
         _mk(
             "T25", KIND_PRODUCT,
@@ -1311,22 +1318,30 @@ def write_report(verdicts, handle) -> None:
     The document is one stable JSON array of fixed-field-order records,
     one per line.  ``verdicts`` may be a one-shot iterable: no record is
     kept after it is written.  The fields that depend only on (theorem,
-    status, hypotheses, statement) are encoded once per call.
+    status, hypotheses, statement) are encoded once per call, together with
+    the witness when it is None or names a hypothesis, as in most records.
+    A uid is encoded once per run of its records.
     """
     written = False
     fragments = {}
+    uid = object()
     for verdict in verdicts:
         handle.write(",\n" if written else "[\n")
-        key = (verdict.theorem, verdict.status, verdict.hypotheses, verdict.statement)
+        if verdict.instance != uid:
+            uid = verdict.instance
+            head = '{"instance": ' + json.dumps(uid)
+        witness = verdict.witness
+        shared = witness is None or (isinstance(witness, tuple) and len(witness) == 2
+                                     and witness[0] == "hypothesis" and isinstance(witness[1], str))
+        key = (verdict.theorem, verdict.status, verdict.hypotheses, verdict.statement,
+               witness if shared else ...)
         if key not in fragments:
             fields = json.dumps(report_record(verdict), separators=(", ", ": "))
-            fragments[key] = (
-                fields[fields.index(', "theorem": '):fields.index(', "witness": ')] + ', "witness": ',
-                fields[fields.rindex(', "anchors": '):],
-            )
+            anchors = fields.rindex(', "anchors": ')
+            cut = anchors if shared else fields.index(', "witness": ') + len(', "witness": ')
+            fragments[key] = (fields[fields.index(', "theorem": '):cut], fields[anchors:])
         middle, tail = fragments[key]
-        handle.write(f'{{"instance": {json.dumps(verdict.instance)}{middle}'
-                     f'{json.dumps(_json_witness(verdict.witness))}{tail}')
+        handle.write(head + middle + ("" if shared else json.dumps(_json_witness(witness))) + tail)
         written = True
     handle.write("\n]\n" if written else "[]\n")
 

@@ -22,6 +22,7 @@ from hyperring.errors import (
     BadEndomorphism,
     CapExceeded,
     HyperRingError,
+    NotAHyperideal,
     NotInvariant,
     NotProper,
 )
@@ -55,6 +56,29 @@ class TestQuotient:
         fake = HyperIdeal(ring, frozenset({0, 1}), proper=True)
         with pytest.raises(HyperRingError):
             quotient_ring(ring, fake)
+
+    def test_equal_ideals_share_one_quotient(self, r12):
+        # Each endomorphism builds its own kernel object; equal element sets
+        # make equal ideals, which the memo serves one quotient.
+        kernels = [kernel(alpha) for alpha in enumerate_endomorphisms(r12)]
+        assert len({ker.elements for ker in kernels if ker.proper}) > 1
+        for ker in filter(lambda ker: ker.proper, kernels):
+            (ideal,) = [i for i in proper_hyperideals(r12) if i.elements == ker.elements]
+            assert ker is not ideal and ker == ideal and hash(ker) == hash(ideal)
+            assert quotient_ring(r12, ker) is quotient_ring(r12, ideal)
+
+    def test_ideals_differ_by_ring_or_elements(self, r6, r12):
+        ideal = as_hyperideal(r6, {0, 3})
+        assert ideal != as_hyperideal(r6, {0, 2, 4})
+        assert ideal != HyperIdeal(make_zn_multiplier_ring(6, [2]), ideal.elements, True)
+        assert ideal != HyperIdeal(r12, ideal.elements, True)
+        assert ideal != ideal.elements
+
+    def test_non_ideal_rejected_beside_a_shared_quotient(self, r6, i03):
+        quotient_ring(r6, i03)
+        for fake in ({0, 1}, {0, 2}, {0, 3, 1}):
+            with pytest.raises(NotAHyperideal):
+                quotient_ring(r6, HyperIdeal(r6, frozenset(fake), proper=True))
 
     def test_quotient_by_zero_is_isomorphic_copy(self, r6):
         quotient = quotient_ring(r6, as_hyperideal(r6, {0}))

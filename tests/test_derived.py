@@ -10,11 +10,12 @@ and random hyperideals: full validation accepts the trusted tables with
 the same property record, every box passes the closure checks, and every
 derived map is good.  The α-prime scan that the computed product backend
 runs on the factors of a box returns the pair of the full scan on the
-table backend.
+table backend.  The hyperideals and good endomorphisms of a residue ring
+come from closed forms, which must equal the search on the same tables.
 """
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperring import (
     Homomorphism,
@@ -33,8 +34,10 @@ from hyperring import (
     validate_structure,
 )
 from hyperring.constructions import _derived_product_props
-from hyperring.errors import NotAHyperideal
+from hyperring.core import trusted_ring
+from hyperring.errors import CapExceeded, NotAHyperideal
 from hyperring.ideals import _alpha_prime_violation, hyperideal_violation
+from hyperring.morphisms import _endo_name
 from hyperring.corpus import (
     fixture_even_multipliers,
     fixture_full_cell,
@@ -89,6 +92,55 @@ class TestResidueRing:
     @given(residue_rings(max_order=16))
     def test_tables_pass_full_validation_with_same_props(self, ring):
         assert structure_properties(ring) == ring.props == revalidated(ring).props
+
+
+def searched(ring):
+    """An untagged copy of the ring's tables: the enumerations search it."""
+    return trusted_ring(ring.order, ring.zero, ring.add, ring.neg, ring.hyp, ring.name)
+
+
+class TestResidueClosedForms:
+    # Hyperideals and endomorphisms of Z_n[M] come from formulas; the search
+    # on the same tables is the reference.  Z8[1,3] has k = 3 with
+    # kM = k^2 M as sets but not elementwise.
+    @settings(max_examples=150, deadline=None)
+    @given(residue_rings(max_order=16))
+    @example(make_zn_multiplier_ring(8, [1, 3]))
+    def test_formulas_match_the_search(self, ring):
+        copy = searched(ring)
+        ideals = enumerate_hyperideals(ring)
+        assert all(ideal.ring is ring for ideal in ideals)
+        assert [(i.elements, i.proper) for i in ideals] == [
+            (i.elements, i.proper) for i in enumerate_hyperideals(copy)
+        ]
+        endos = enumerate_endomorphisms(ring)
+        assert all(alpha.source is alpha.target is ring for alpha in endos)
+        assert [(alpha.map, alpha.name) for alpha in endos] == [
+            (alpha.map, _endo_name(ring, alpha.map)) for alpha in enumerate_endomorphisms(copy)
+        ]
+
+    @pytest.mark.parametrize("enumerate_", (enumerate_hyperideals, enumerate_endomorphisms))
+    def test_cap_comes_before_the_formula(self, enumerate_):
+        with pytest.raises(CapExceeded):
+            enumerate_(make_zn_multiplier_ring(17, [1, 2]))
+        with pytest.raises(CapExceeded):
+            enumerate_(make_zn_multiplier_ring(6, [2]), 5)
+        assert enumerate_(make_zn_multiplier_ring(6, [2]), 6)
+
+    def test_validation_drops_the_residue_tags(self):
+        # XOR tables tagged as a residue ring must not take the closed forms.
+        ring = TRIANGULAR[0]
+        tagged = validate_structure(
+            RawRing(order=ring.order, zero=ring.zero, add=ring.add, neg=ring.neg, hyp=ring.hyp,
+                    tags=("zn_multiplier", "degenerate_multiplier", "fixture"))
+        )
+        assert tagged.tags == ("fixture",)
+        assert [i.elements for i in enumerate_hyperideals(tagged)] == [
+            i.elements for i in enumerate_hyperideals(ring)
+        ]
+        assert [a.map for a in enumerate_endomorphisms(tagged)] == [
+            a.map for a in enumerate_endomorphisms(ring)
+        ]
 
 
 class TestQuotient:

@@ -38,6 +38,7 @@ from hyperring.verifier import (
     STATUS_FAILS,
     STATUS_HOLDS,
     STATUS_NOT_MET,
+    VerdictReport,
     ledgered_theorems,
     report_record,
 )
@@ -220,6 +221,28 @@ class TestReportRendering:
         write_report((v for v in verdicts), handle)
         assert handle.getvalue() == expected
         assert render_report(verdicts) == expected
+
+    def test_shared_encodings_keep_the_record_format(self, r6, r6_scale3):
+        # Every status, repeated and interleaved uids, and witnesses the
+        # writer encodes once (none, a named hypothesis) beside ones it
+        # encodes per record: a cap message, a list, unhashable fields.
+        cat = _catalog_by_id()
+        inst = _rai_instance(r6, r6_scale3, {0, 3}, uid="sample")
+        checked = [check(inst, cat[tid]) for tid in ("T01", "T05", "T22", "T24")]
+        assert {v.status for v in checked} >= {"holds", "hypotheses_not_met"}
+        hyps = (("ring commutative", "true"),)
+        made = [
+            VerdictReport("x", "T05", "fails", hyps, ("pair", 1, 1), "stated"),
+            VerdictReport("x", "T05", "undecided", hyps, ("cap", "capped at 16"), "stated"),
+            VerdictReport("y", "T05", "fails", hyps, ["pair", 2, frozenset({3, 1})], "stated"),
+            VerdictReport("x", "T05", "hypotheses_not_met", hyps, ("hypothesis", ["odd"]), "stated"),
+            VerdictReport("x", "T05", "hypotheses_not_met", hyps, ("hypothesis", "ring commutative"), "stated"),
+            VerdictReport("x", "T05", "hypotheses_not_met", hyps, ("hypothesis", "other"), "stated"),
+            VerdictReport("x", "T05", "holds", hyps, None, "stated"),
+        ]
+        verdicts = checked + made + checked + made[::-1]
+        lines = [json.dumps(report_record(v), separators=(", ", ": ")) for v in verdicts]
+        assert render_report(verdicts) == "[\n" + ",\n".join(lines) + "\n]\n"
 
     def test_rendering_is_deterministic(self):
         corpus = generate_corpus(SMALL_CONFIG)

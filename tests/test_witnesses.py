@@ -259,6 +259,28 @@ def test_wrong_length_witnesses_do_not_reverify(conclusions, theorem):
             assert not reverify_witness(inst, theorem, bad), (inst.uid, bad)
 
 
+# A set- or pair-valued field given as an int, per tag that carries one.
+MISTYPED = (
+    ("T05", ("ideal_pair", 1, 2)),
+    ("T06", ("colon_pair", 1, 2, 3)),
+    ("T15", ("monotone", 1, 2)),
+    ("T15", ("product_law", (0,), 2)),
+    ("T15", ("sum_law", 1, (0,))),
+    ("T16", ("power_radical", 5)),
+    ("T23", ("readings", 5, "pair", 0, 0)),
+    ("T24", ("subideal", 5, "pair", (0, 0))),
+    ("T24", ("subideal", (0,), "quotient_pair", 5)),
+)
+
+
+@pytest.mark.parametrize("tid, witness", MISTYPED, ids=lambda v: v if isinstance(v, str) else v[0])
+def test_mistyped_witness_fields_do_not_reverify(conclusions, tid, witness):
+    theorem = {t.tid: t for t in catalog()}[tid]
+    assert conclusions[tid]
+    for inst, _ok, _witness in conclusions[tid]:
+        assert not reverify_witness(inst, theorem, witness), inst.uid
+
+
 # ---------------------------------------------------------------------------
 # the shapes on hand-made subjects, where no corpus instance reaches them
 
