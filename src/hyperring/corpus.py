@@ -11,18 +11,21 @@ Rings are deduplicated by multiplier set mod n.  In Z_n[M] the cell
 1 o 1 is {1*r*1 mod n : r in M} = M mod n, so two multiplier sets give the
 same hyperoperation table exactly when they are equal mod n.
 
-:func:`iter_corpus` builds one swept ring at a time and lets it go once
-its instances are consumed, so its memo is freed before the next ring is
-built; :func:`generate_corpus` is the same instances as a cached tuple.
+:func:`iter_corpus` builds one swept ring at a time and, once its
+instances are consumed, empties its memo, so that reference counting
+frees the ring before the next one is built; :func:`generate_corpus` is
+the same instances as a cached tuple, whose rings keep their memos.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
-from .constructions import ProductRing, product_endomorphism, product_ideal, product_ring, quotient_ring
+from .constructions import (
+    ProductRing, QuotientRing, product_endomorphism, product_ideal, product_ring, quotient_ring,
+)
 from .core import HyperRing, RawRing, make_zn_multiplier_ring, validate_structure
 from .ideals import (
     HyperIdeal,
@@ -165,9 +168,9 @@ def large_product() -> ProductRing:
 # corpus generation
 
 
-def _rings(config: CorpusConfig):
-    """The swept residue rings, one per multiplier set mod n, then the
-    fixtures; each ring is built when it is pulled."""
+def _swept_rings(config: CorpusConfig):
+    """The swept residue rings, one per multiplier set mod n, each built
+    when it is pulled."""
     for n in range(config.modulus_min, config.modulus_max + 1):
         if config.multiplier_sets is not None:
             families = [
@@ -183,6 +186,9 @@ def _rings(config: CorpusConfig):
         for subset in dict.fromkeys(families):
             if subset:
                 yield make_zn_multiplier_ring(n, subset)
+
+
+def _fixture_rings(config: CorpusConfig):
     if config.include_fixtures:
         yield fixture_weak_identity()
         yield fixture_inclusion_only()
@@ -192,7 +198,32 @@ def _rings(config: CorpusConfig):
 
 @lru_cache(maxsize=None)
 def corpus_rings(config: CorpusConfig = DEFAULT_CONFIG) -> tuple:
-    return tuple(_rings(config))
+    return (*_swept_rings(config), *_fixture_rings(config))
+
+
+def _named(config: CorpusConfig) -> set:
+    """The names of the rings that the hom and product sections use."""
+    return set(config.hom_ring_names).union(*config.product_pair_names)
+
+
+def _released(rings, config: CorpusConfig):
+    """``rings``, each released once the stream has moved past it, unless a
+    later section names it."""
+    named = _named(config)
+    for ring in rings:
+        yield ring
+        if ring.name not in named:
+            _release(ring)
+
+
+def _release(ring: HyperRing) -> None:
+    """Empty the memo of ``ring`` and of the quotients stored in it.  Memo
+    keys hold their ring, so a filled memo is a reference cycle that only
+    the cyclic collector frees; emptied, the ring goes by reference count."""
+    for value in ring.memo.values():
+        if isinstance(value, QuotientRing):
+            value.ring.memo.clear()
+    ring.memo.clear()
 
 
 def _ring_instances(ring: HyperRing) -> list:
@@ -335,9 +366,9 @@ def _product_instances(product: ProductRing, alpha_pairs, tag="") -> list:
 
 def iter_corpus(config: CorpusConfig = DEFAULT_CONFIG):
     """The instances of :func:`generate_corpus`, in the same order, built
-    lazily: each swept ring is dropped once its instances are consumed,
+    lazily: each swept ring is released once its instances are consumed,
     except the rings the hom and product sections name."""
-    return _instances(config, _rings(config))
+    return _instances(config, chain(_released(_swept_rings(config), config), _fixture_rings(config)))
 
 
 @lru_cache(maxsize=None)
@@ -348,7 +379,7 @@ def generate_corpus(config: CorpusConfig = DEFAULT_CONFIG) -> tuple:
 
 def _instances(config: CorpusConfig, rings):
     """The corpus over ``rings``, holding on only to the rings it names."""
-    named = set(config.hom_ring_names).union(*config.product_pair_names)
+    named = _named(config)
     by_name = {}
     for ring in rings:
         if ring.name in named:

@@ -247,8 +247,22 @@ def product_set_closure(
     Every product of length k+1 is a length-k product extended by one
     element, so closing the singletons under one-step extension reaches the
     whole family.  ``complete`` is False when a cap stopped the search.
+
+    On a residue ring Z_n[M], x1 o ... o x(j+1) = x1*...*x(j+1) * M^(j), so
+    the family is the singletons and every p * M^(j), M^(j) the j-fold
+    product set of M = 1 o 1 iterated to its first repeat.  ``complete``
+    follows the search's accounting (n operations per member), but the
+    whole family is returned even when a cap would have stopped the search.
     """
     n = ring.order
+    if "zn_multiplier" in ring.tags:
+        family = {frozenset((p,)) for p in range(n)}
+        powers, mj = set(), ring.hyp[1][1]
+        while mj not in powers:
+            powers.add(mj)
+            family.update(frozenset(p * t % n for t in mj) for p in range(n))
+            mj = frozenset(t * m % n for t in mj for m in ring.hyp[1][1])
+        return (frozenset(family), len(family) < max_sets and n * len(family) <= max_ops)
     prod = ring.product_of
     singles = [frozenset((r,)) for r in range(n)]
     family = set(singles)

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .core import (
     FLAVOR_NONE,
@@ -94,7 +96,12 @@ class Instance:
 
 @dataclass(frozen=True, eq=False)
 class TheoremCheck:
-    """A decidable (hypotheses, conclusion) pair over one instance kind."""
+    """A decidable (hypotheses, conclusion) pair over one instance kind.
+
+    Verdicts share the hypotheses readings built here: ``met`` when all
+    hold, ``blocked[i][refuted]`` = (status, readings, witness) when
+    hypothesis i reads false (``refuted``) or unknown.
+    """
 
     tid: str
     signature: str
@@ -102,10 +109,23 @@ class TheoremCheck:
     hypotheses: tuple
     conclude: object
     recheck: object
+    met: tuple = field(init=False, repr=False)
+    blocked: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        names = [name for name, _fn in self.hypotheses]
+
+        def stop(i, status, reading):
+            hyps = [(n, "true") for n in names[:i]] + [(names[i], reading)]
+            return status, tuple(hyps + [(n, "skipped") for n in names[i + 1:]]), ("hypothesis", names[i])
+
+        object.__setattr__(self, "met", tuple((n, "true") for n in names))
+        object.__setattr__(self, "blocked", tuple(
+            (stop(i, STATUS_UNDECIDED, "unknown"), stop(i, STATUS_NOT_MET, "false")) for i in range(len(names))
+        ))
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     instance: str
     theorem: str
     status: str
@@ -132,7 +152,9 @@ def _ideal_pairs(ring: HyperRing) -> tuple:
     """(L, R, L o R, L + R, L & R) for every ordered pair of hyperideals.
 
     Equal sets share one object; sums and meets of ideals are ideals, so
-    the ideals' own sets cover them.
+    the ideals' own sets cover them.  On a residue ring Z_n[M], with
+    I = dZ_n and J = eZ_n, I + J = gcd(d, e)Z_n, I & J = lcm(d, e)Z_n and
+    I o J is the union of gcd(d*e*m, n)Z_n over m in M.
     """
     ideals = [i.elements for i in enumerate_hyperideals(ring)]
     shared = {s: s for s in ideals}
@@ -140,10 +162,18 @@ def _ideal_pairs(ring: HyperRing) -> tuple:
     def intern(s):
         return shared.setdefault(s, s)
 
+    if "zn_multiplier" not in ring.tags:
+        return tuple(
+            (ea, eb, intern(set_product(ring, ea, eb)), intern(set_sum(ring, ea, eb)), intern(ea & eb))
+            for ea in ideals for eb in ideals
+        )
+    n = ring.order
+    by_step = {n // len(s): s for s in ideals}
     return tuple(
-        (ea, eb, intern(set_product(ring, ea, eb)), intern(set_sum(ring, ea, eb)), intern(ea & eb))
-        for ea in ideals
-        for eb in ideals
+        (ea, eb, intern(frozenset().union(*(range(0, n, gcd(d * e * m, n)) for m in ring.hyp[1][1]))),
+         by_step[gcd(d, e)], by_step[lcm(d, e)])
+        for d, ea in by_step.items()
+        for e, eb in by_step.items()
     )
 
 
@@ -392,11 +422,13 @@ def _pair_holds(ring, elements, amap, x, y):
     )
 
 
-def _sized(n, recheck, tuples=()):
-    """``recheck``, refusing any witness that is not ``n`` fields long, or
-    whose set- or pair-valued fields (at positions ``tuples``) are not tuples."""
+def _sized(n, recheck, tuples=(), ints=()):
+    """``recheck``, refusing any witness that is not ``n`` fields long, whose
+    set- or pair-valued fields (at positions ``tuples``) are not tuples, or
+    whose element fields (at positions ``ints``) are not ints."""
     return lambda inst, witness: (
         len(witness) == n and all(isinstance(witness[i], tuple) for i in tuples)
+        and all(isinstance(witness[i], int) for i in ints)
         and recheck(inst, witness)
     )
 
@@ -452,7 +484,7 @@ def _inside(tag, sub, sup):
     return Claim(
         (tag,),
         lambda inst: _smallest(tag, sub(inst) - sup(inst)),
-        _sized(2, lambda inst, witness: witness[1] in sub(inst) and witness[1] not in sup(inst)),
+        _sized(2, lambda inst, witness: witness[1] in sub(inst) and witness[1] not in sup(inst), ints=(1,)),
     )
 
 
@@ -462,7 +494,7 @@ def _equal(tag, a, b):
     return Claim(
         (tag,),
         lambda inst: _smallest(tag, a(inst) ^ b(inst)),
-        _sized(2, lambda inst, witness: (witness[1] in a(inst)) != (witness[1] in b(inst))),
+        _sized(2, lambda inst, witness: (witness[1] in a(inst)) != (witness[1] in b(inst)), ints=(1,)),
     )
 
 
@@ -701,15 +733,23 @@ def _distinct_residuals(ring: HyperRing, elements: frozenset) -> tuple:
     sorted tuple) among the singletons, then I, then R; equal residuals give
     equal verdicts.  A residual among the enumerated hyperideals is one; any
     other, and any residual of a ring above the enumeration cap, is checked.
+
+    On a residue ring Z_n[M], r o s <= dZ_n exactly when d | r*s*g for
+    g = gcd(M + {n}), so (dZ_n : S) = (d / gcd(d, g * gcd(S + {n})))Z_n.
     """
     try:
         known = {i.elements: i for i in enumerate_hyperideals(ring)}
     except CapExceeded:
         known = {}
     family = [frozenset((s,)) for s in range(ring.order)] + [elements, ring.carrier_set()]
+    n = ring.order
+    if "zn_multiplier" in ring.tags:
+        d, g = n // len(elements), gcd(n, *ring.hyp[1][1])
+        residuals = (frozenset(range(0, n, d // gcd(d, g * gcd(n, *s)))) for s in family)
+    else:
+        residuals = (_colon_elements(ring, elements, s) for s in family)
     found = {}
-    for subset in family:
-        res = _colon_elements(ring, elements, subset)
+    for subset, res in zip(family, residuals):
         if len(res) < ring.order and res not in found:
             found[res] = (tuple(sorted(subset)), known[res] if res in known else as_hyperideal(ring, res))
     return tuple(found.values())
@@ -805,7 +845,7 @@ def _r16(inst, witness):
     ring, alpha, els = inst.ring, inst.alpha, inst.ideal.elements
     rad = alpha_radical(ring, els, alpha)
     if witness[0] == "fullness":
-        return (len(rad) == ring.order) != (len(els) == ring.order)
+        return witness[1] == tuple(sorted(els)) and (len(rad) == ring.order) != (len(els) == ring.order)
     power = frozenset(witness[1])
     return power in _powers(inst) and alpha_radical(ring, power, alpha) != rad
 
@@ -1172,7 +1212,7 @@ def catalog() -> tuple:
             "the power-membership set sits inside the prime radical, with "
             "equality for C-hyperideals",
             (_COMM,),
-            Claim(("subset_violation", "equality_violation"), _c27, _sized(2, _r27)),
+            Claim(("subset_violation", "equality_violation"), _c27, _sized(2, _r27, ints=(1,))),
         ),
         _mk(
             "T28", ri,
@@ -1202,55 +1242,28 @@ def check(instance: Instance, theorem: TheoremCheck) -> VerdictReport:
         raise SignatureMismatch(
             f"{theorem.tid} needs a {theorem.signature} instance, got {instance.kind}"
         )
-    results = []
-    blocker = None
-    for name, fn in theorem.hypotheses:
-        if blocker is not None:
-            results.append((name, "skipped"))
-            continue
+    for i, (_name, fn) in enumerate(theorem.hypotheses):
         try:
             value = fn(instance)
         except CapExceeded:
             value = None
-        if value is True:
-            results.append((name, "true"))
-        elif value is False:
-            results.append((name, "false"))
-            blocker = (STATUS_NOT_MET, name)
-        else:
-            results.append((name, "unknown"))
-            blocker = (STATUS_UNDECIDED, name)
-    if blocker is not None:
-        status, name = blocker
-        return VerdictReport(
-            instance.uid, theorem.tid, status, tuple(results),
-            ("hypothesis", name), theorem.statement,
-        )
+        if value is not True:
+            status, hypotheses, witness = theorem.blocked[i][value is False]
+            return VerdictReport(instance.uid, theorem.tid, status, hypotheses, witness, theorem.statement)
+    met = theorem.met
     try:
         ok, witness = theorem.conclude(instance)
     except CapExceeded as exc:
-        return VerdictReport(
-            instance.uid, theorem.tid, STATUS_UNDECIDED, tuple(results),
-            ("cap", str(exc)), theorem.statement,
-        )
+        return VerdictReport(instance.uid, theorem.tid, STATUS_UNDECIDED, met, ("cap", str(exc)), theorem.statement)
     if ok is None:
-        return VerdictReport(
-            instance.uid, theorem.tid, STATUS_UNDECIDED, tuple(results),
-            witness, theorem.statement,
-        )
+        return VerdictReport(instance.uid, theorem.tid, STATUS_UNDECIDED, met, witness, theorem.statement)
     if ok:
-        return VerdictReport(
-            instance.uid, theorem.tid, STATUS_HOLDS, tuple(results),
-            None, theorem.statement,
-        )
+        return VerdictReport(instance.uid, theorem.tid, STATUS_HOLDS, met, None, theorem.statement)
     if not theorem.recheck(instance, witness):
         raise ConsistencyError(
             f"{theorem.tid} witness {witness!r} does not re-verify on {instance.uid}"
         )
-    return VerdictReport(
-        instance.uid, theorem.tid, STATUS_FAILS, tuple(results),
-        witness, theorem.statement,
-    )
+    return VerdictReport(instance.uid, theorem.tid, STATUS_FAILS, met, witness, theorem.statement)
 
 
 def reverify_witness(instance: Instance, theorem: TheoremCheck, witness) -> bool:

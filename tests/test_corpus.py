@@ -185,3 +185,35 @@ class TestStreaming:
         gc.collect()
         assert [ref for ref in swept if ref() is not None] == []
         assert len(swept) > 100 and verdicts > 10_000
+
+    def test_streamed_verify_frees_swept_rings_by_reference_count(self):
+        # Memo keys hold their ring, so a ring with a filled memo is a
+        # reference cycle; with the cyclic collector off, only an emptied
+        # memo lets a swept ring go.
+        config = CorpusConfig(modulus_min=2, modulus_max=7)
+        named = set(config.hom_ring_names).union(*config.product_pair_names)
+        fixtures = {fixture_weak_identity(), fixture_inclusion_only(),
+                    fixture_full_cell(), fixture_even_multipliers()}
+        swept = []
+
+        def watched(instances):
+            for inst in instances:
+                ring = inst.ring
+                if (inst.kind in (KIND_RING_ALPHA, KIND_RING_IDEAL, KIND_RING_ALPHA_IDEAL)
+                        and ring not in fixtures and ring.name not in named
+                        and not (swept and swept[-1]() is ring)):
+                    swept.append(weakref.ref(ring))
+                yield inst
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            alive = [sum(ref() is not None for ref in swept)
+                     for verdicts, _record in enumerate(iter_suite(watched(iter_corpus(config))), 1)
+                     if verdicts % 300 == 0]
+            assert max(alive) <= 1
+            assert [ref for ref in swept if ref() is not None] == []
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(swept) > 100 and len(alive) > 30

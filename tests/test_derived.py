@@ -10,8 +10,9 @@ and random hyperideals: full validation accepts the trusted tables with
 the same property record, every box passes the closure checks, and every
 derived map is good.  The α-prime scan that the computed product backend
 runs on the factors of a box returns the pair of the full scan on the
-table backend.  The hyperideals and good endomorphisms of a residue ring
-come from closed forms, which must equal the search on the same tables.
+table backend.  The hyperideals, good endomorphisms, product sets,
+residuals and ideal-pair rows of a residue ring come from closed forms,
+which must equal the search on the same tables.
 """
 
 import pytest
@@ -34,9 +35,10 @@ from hyperring import (
     validate_structure,
 )
 from hyperring.constructions import _derived_product_props
+from hyperring import verifier
 from hyperring.core import trusted_ring
 from hyperring.errors import CapExceeded, NotAHyperideal
-from hyperring.ideals import _alpha_prime_violation, hyperideal_violation
+from hyperring.ideals import _alpha_prime_violation, hyperideal_violation, product_set_closure
 from hyperring.morphisms import _endo_name
 from hyperring.corpus import (
     fixture_even_multipliers,
@@ -118,6 +120,36 @@ class TestResidueClosedForms:
         assert [(alpha.map, alpha.name) for alpha in endos] == [
             (alpha.map, _endo_name(ring, alpha.map)) for alpha in enumerate_endomorphisms(copy)
         ]
+
+    # Z8[1,2] has M^(j) = {1,2}, {1,2,4}, {0,1,2,4} and 25 product sets,
+    # the search 8 * 25 operations.
+    @settings(max_examples=150, deadline=None)
+    @given(residue_rings(max_order=16), st.integers(1, 300), st.integers(1, 3000))
+    @example(make_zn_multiplier_ring(8, [1, 2]), 25, 200)
+    @example(make_zn_multiplier_ring(8, [1, 2]), 26, 199)
+    @example(make_zn_multiplier_ring(8, [1, 2]), 26, 200)
+    def test_product_sets_match_the_search(self, ring, max_sets, max_ops):
+        # Under caps the search stops early with a part of the family; the
+        # formula returns all of it, with the search's completeness flag.
+        copy = searched(ring)
+        assert product_set_closure(ring) == product_set_closure(copy)
+        family, complete = product_set_closure(ring, max_sets, max_ops)
+        part, searched_complete = product_set_closure(copy, max_sets, max_ops)
+        assert complete == searched_complete
+        assert part <= family and (part == family or not complete)
+
+    @settings(max_examples=150, deadline=None)
+    @given(residue_rings(max_order=16))
+    @example(make_zn_multiplier_ring(12, [2, 6]))
+    def test_residuals_and_ideal_pairs_match_the_search(self, ring):
+        copy = searched(ring)
+        for ideal in proper_hyperideals(ring):
+            got = verifier._distinct_residuals(ring, ideal.elements)
+            assert all(residual.ring is ring for _subset, residual in got)
+            assert [(s, r.elements) for s, r in got] == [
+                (s, r.elements) for s, r in verifier._distinct_residuals(copy, ideal.elements)
+            ]
+        assert verifier._ideal_pairs(ring) == verifier._ideal_pairs(copy)
 
     @pytest.mark.parametrize("enumerate_", (enumerate_hyperideals, enumerate_endomorphisms))
     def test_cap_comes_before_the_formula(self, enumerate_):

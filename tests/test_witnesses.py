@@ -221,7 +221,7 @@ def _shift(witness, offset):
 
 
 # These witnesses name no element that their recheck looks at.
-NO_ELEMENTS = {"not_hyperideal", "fullness", "sides"}
+NO_ELEMENTS = {"not_hyperideal", "sides"}
 
 
 @pytest.mark.parametrize("theorem", catalog(), ids=lambda t: t.tid)
@@ -320,8 +320,13 @@ def test_pair_shape(inst):
 
 def test_misshapen_witnesses_on_r6_do_not_reverify(inst):
     by_id = {t.tid: t for t in catalog()}
-    for tid, witness in (("T04", ("pair", 1)), ("T01", ("element",)), ("T06", ("colon_pair", 1, 2, 3))):
+    for tid, witness in (("T04", ("pair", 1)), ("T01", ("element",)), ("T06", ("colon_pair", 1, 2, 3)),
+                         ("T01", ("element", [1])), ("T13", ("element", [1])),
+                         ("T27", ("subset_violation", [1])), ("T16", ("fullness", (9, 9)))):
         assert not reverify_witness(inst, by_id[tid], witness), (tid, witness)
+    # The fullness witness names the ideal itself.
+    assert verifier._c16(inst) == (False, ("fullness", (0, 3)))
+    assert reverify_witness(inst, by_id["T16"], ("fullness", (0, 3)))
 
 
 def test_containment_shapes(inst):
