@@ -26,6 +26,7 @@ from .core import (
     StructureProps,
     fmt_set,
     memoized,
+    residue_ring,
     trusted_ring,
 )
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     NotInvariant,
     NotProper,
 )
-from .ideals import HyperIdeal, _as_elements, as_hyperideal, hyperideal_violation
+from .ideals import HyperIdeal, _as_elements, _residue_step, as_hyperideal, hyperideal_violation
 from .morphisms import Homomorphism, good_homomorphism_violation
 
 PRODUCT_ORDER_CAP = 4096
@@ -74,6 +75,10 @@ def quotient_ring(base: HyperRing, ideal: HyperIdeal) -> QuotientRing:
     I, so pi(x' o y') <= pi(x o y) and, symmetrically, equality.  pi is then a
     surjective good homomorphism, which carries every axiom of R to R/I.  The
     ideal itself is checked on entry, since hand-built ideals are untrusted.
+
+    On a residue ring Z_n[M], the quotient by dZ_n has the tables of
+    Z_d[M mod d], the cosets range(c, n, d) and the projection x -> x mod d,
+    since d | n; it is built directly, untagged.
     """
     if ideal.ring is not base:
         raise NotProper("ideal does not belong to the ring being quotiented")
@@ -86,29 +91,35 @@ def quotient_ring(base: HyperRing, ideal: HyperIdeal) -> QuotientRing:
             f"cannot quotient {base.name} by {fmt_set(members)}: {witness}",
             witness=witness,
         )
-    add = base.add_of
-    proj = [None] * base.order
-    reps = []  # ascending, so each coset is ranked by its smallest member
-    for x in base.elements():
-        if proj[x] is None:
-            for i in members:
-                proj[add(x, i)] = len(reps)
-            reps.append(x)
-    prod = base.product_of
-    ring = trusted_ring(
-        order=len(reps),
-        zero=proj[base.zero],
-        add=tuple(tuple(proj[add(x, y)] for y in reps) for x in reps),
-        neg=tuple(proj[base.neg_of(x)] for x in reps),
-        hyp=tuple(
-            tuple(frozenset(proj[t] for t in prod(x, y)) for y in reps) for x in reps
-        ),
-        name=f"{base.name}/{fmt_set(members)}",
-        tags=("quotient",),
-    )
-    cosets = tuple(frozenset(add(x, i) for i in members) for x in reps)
-    projection = Homomorphism(base, ring, proj, "proj")
-    return QuotientRing(base, ideal, cosets, ring, projection)
+    name = f"{base.name}/{fmt_set(members)}"
+    d = _residue_step(base, members)
+    if d is not None:
+        ring = residue_ring(d, base.hyp[1][1], name, ("quotient",))
+        proj = [x % d for x in base.elements()]
+        cosets = tuple(frozenset(range(c, base.order, d)) for c in range(d))
+    else:
+        add = base.add_of
+        proj = [None] * base.order
+        reps = []  # ascending, so each coset is ranked by its smallest member
+        for x in base.elements():
+            if proj[x] is None:
+                for i in members:
+                    proj[add(x, i)] = len(reps)
+                reps.append(x)
+        prod = base.product_of
+        ring = trusted_ring(
+            order=len(reps),
+            zero=proj[base.zero],
+            add=tuple(tuple(proj[add(x, y)] for y in reps) for x in reps),
+            neg=tuple(proj[base.neg_of(x)] for x in reps),
+            hyp=tuple(
+                tuple(frozenset(proj[t] for t in prod(x, y)) for y in reps) for x in reps
+            ),
+            name=name,
+            tags=("quotient",),
+        )
+        cosets = tuple(frozenset(add(x, i) for i in members) for x in reps)
+    return QuotientRing(base, ideal, cosets, ring, Homomorphism(base, ring, proj, "proj"))
 
 
 @memoized

@@ -13,6 +13,7 @@ import inspect
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -500,8 +501,8 @@ def structure_properties(ring: HyperRing) -> StructureProps:
 def trusted_ring(order, zero, add, neg, hyp, name, tags=()) -> HyperRing:
     """Wrap tables that satisfy every axiom by construction, unvalidated.
 
-    For structures whose axioms follow from a transfer argument: residue
-    rings, quotients and small products.  Tables parsed from outside input
+    For structures whose axioms follow from a transfer argument:
+    quotients and small products.  Tables parsed from outside input
     go through :func:`validate_structure`.  The property record still comes
     from the exhaustive scan.
     """
@@ -531,14 +532,38 @@ def make_zn_multiplier_ring(n: int, multipliers: Iterable[int], name: str | None
         raise EmptyMultiplierSet("multiplier set is empty")
     if name is None:
         name = f"Z{n}[{','.join(str(m) for m in mult)}]"
+    tags = ("zn_multiplier",) + (("degenerate_multiplier",) if len(mult) == 1 else ())
+    return residue_ring(n, mult, name, tags)
+
+
+def residue_ring(n: int, multipliers: Iterable[int], name: str, tags: tuple) -> HyperRing:
+    """The tables of Z_n[M], M the multipliers mod n, with the property
+    record by formula rather than by scan.
+
+    a o b = {a*m*b} = b o a, and 0 o a = {0}.  Strong distributivity holds
+    exactly when |M| = 1: for m1 != m2 in M, 1 o (1 + -1) = {0} while
+    1 o 1 + 1 o -1 holds m1 - m2 != 0.  e is a weak identity exactly when
+    e*m = 1 for some m in M (take a = 1 in a in a o e); it is scalar
+    exactly when |M| = 1, since {e*m} = {1} forces one multiplier.  The
+    scan takes the least weak e, or a scalar one, which is then unique.
+    """
+    mult = {m % n for m in multipliers}
     add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     neg = tuple((-a) % n for a in range(n))
     hyp = tuple(
         tuple(frozenset((a * r * b) % n for r in mult) for b in range(n))
         for a in range(n)
     )
-    tags = ("zn_multiplier",) + (("degenerate_multiplier",) if len(mult) == 1 else ())
-    return trusted_ring(n, 0, add, neg, hyp, name, tags)
+    identity = min((pow(m, -1, n) for m in mult if gcd(m, n) == 1), default=None)
+    flavor = FLAVOR_NONE if identity is None else FLAVOR_SCALAR if len(mult) == 1 else FLAVOR_WEAK
+    props = StructureProps(
+        commutative=True,
+        strongly_distributive=len(mult) == 1,
+        zero_absorbing=True,
+        identity=identity,
+        identity_flavor=flavor,
+    )
+    return HyperRing(n, 0, add, neg, hyp, name, props, tags)
 
 
 def trivial_ring(name: str = "Z1") -> HyperRing:

@@ -7,6 +7,7 @@ memoized in their ring's memo and freed with it; rings hash by identity.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import TYPE_CHECKING, Iterable
 
 from .core import (
@@ -97,14 +98,60 @@ def _as_elements(ideal_or_set) -> ElementSet:
 
 
 # ---------------------------------------------------------------------------
+# residue rings Z_n[M]: M = 1 o 1, g = gcd(M + {n}), I = dZ_n for d | n
+
+
+def _residue_step(ring: HyperRing, subset) -> int | None:
+    """d when ``ring`` is a residue ring Z_n[M] and ``subset`` is dZ_n."""
+    if "zn_multiplier" not in ring.tags or not subset:
+        return None
+    d, rest = divmod(ring.order, len(subset))
+    return d if not rest and subset == frozenset(range(0, ring.order, d)) else None
+
+
+def _scale(alpha) -> int | None:
+    """k when alpha's table on Z_n is x -> kx mod n."""
+    amap, n = alpha.map, len(alpha.map)
+    k = amap[1]
+    return k if all(amap[x] == k * x % n for x in range(n)) else None
+
+
+def _residue_pair(n: int, g: int, d: int, amap, mirrored: bool):
+    """The first pair violating x o y <= dZ_n => x in dZ_n or amap[y] in dZ_n
+    on Z_n[M], in the search's order; ``mirrored`` swaps x and y in the
+    conclusion.  ``amap`` may be any table.
+
+    x o y <= dZ_n exactly when d | x*y*g (d | x*y*m for every m in M, and
+    d | x*y*n), that is when e = d / gcd(d, x*g) divides y.  So the
+    partners of x are range(0, n, e), from y = 0; mirrored, the first
+    partner outside dZ_n is e itself, when e < d.
+    """
+    for x in range(n):
+        e = d // gcd(d, x * g)
+        if mirrored:
+            if amap[x] % d and e < d:
+                return (x, e)
+        elif x % d:
+            for y in range(0, n, e):
+                if amap[y] % d:
+                    return (x, y)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # membership and construction
 
 
 def hyperideal_violation(ring: HyperRing, subset: Iterable[int]):
-    """First violated closure condition, or None if subset is a hyperideal."""
+    """First violated closure condition, or None if subset is a hyperideal.
+
+    dZ_n is a hyperideal of Z_n[M]: a subgroup, and d | x gives d | x*r*y.
+    """
     s = ring.check_subset(subset)
     if not s:
         return ("empty",)
+    if _residue_step(ring, s) is not None:
+        return None
     sub = ring.sub_of
     for a in sorted(s):
         for b in sorted(s):
@@ -298,12 +345,26 @@ def is_c_hyperideal(
 
     A 'no' from a capped closure is still definite; 'yes' needs the full
     family, so a cap hit downgrades it to 'unknown'.
+
+    On Z_n[M] the product sets are the singletons and the p * M^(j), and
+    d | p*t exactly when d / gcd(d, t) divides p.  So dZ_n is one exactly
+    when gcd(d, .) is constant on every M^(j): else some t has a gcd(d, t)
+    that does not divide gcd(d, t'), and p = d / gcd(d, t) puts p*t inside
+    and p*t' outside.  Constant on M = M^(1) is enough: gcd(d, t) fixes
+    min(v_p(t), v_p(d)) for each prime p | d, and if that is the same for
+    every m in M, either every v_p(m) is the same value c < v_p(d), so
+    every product of j multipliers has v_p = j*c, or every v_p(m) is at
+    least v_p(d), and so is every product; reducing mod n keeps
+    min(v_p, v_p(d)), since d | n.
     """
     elements = _as_elements(ideal_or_set)
     family, complete = product_set_closure(ring, max_sets, max_ops)
-    for pset in family:
-        if pset & elements and not pset <= elements:
+    d = _residue_step(ring, elements)
+    if d is not None:
+        if len({gcd(d, m) for m in ring.hyp[1][1]}) > 1:
             return C_NO
+    elif any(pset & elements and not pset <= elements for pset in family):
+        return C_NO
     return C_YES if complete else C_UNKNOWN
 
 
@@ -351,6 +412,9 @@ def is_prime(ring: HyperRing, ideal: HyperIdeal) -> bool:
 def _alpha_prime_violation(ring: HyperRing, elements: ElementSet, alpha, mirrored: bool):
     n = ring.order
     amap = alpha.map
+    d = _residue_step(ring, elements)
+    if d is not None:
+        return _residue_pair(n, gcd(n, *ring.hyp[1][1]), d, amap, mirrored)
     outside = [x not in elements for x in range(n)]
     image_outside = [amap[x] not in elements for x in range(n)]
     x_out, y_out = (image_outside, outside) if mirrored else (outside, image_outside)
@@ -494,8 +558,28 @@ def is_primary(
 
 
 @memoized
+def _residue_radicals(ring: HyperRing) -> dict:
+    """q -> {x : q | gcd(p + {n}) for some p in power_orbit(x)}, q | n, on Z_n[M].
+
+    With alpha = x -> kx, k*p <= dZ_n exactly when d | k * gcd(p + {n}),
+    that is when q = d / gcd(d, k) divides gcd(p + {n}); so the
+    alpha-radical of dZ_n is the entry at q, whatever k.
+    """
+    n = ring.order
+    gcds = [{gcd(n, *p) for p in power_orbit(ring, x)} for x in range(n)]
+    return {
+        q: frozenset(x for x in range(n) if any(t % q == 0 for t in gcds[x]))
+        for q in range(1, n + 1) if n % q == 0
+    }
+
+
+@memoized
 def _alpha_radical(ring: HyperRing, elements: ElementSet, alpha) -> ElementSet:
     amap = alpha.map
+    d = _residue_step(ring, elements)
+    k = None if d is None else _scale(alpha)
+    if k is not None:
+        return _residue_radicals(ring)[d // gcd(d, k)]
     out = set()
     for r in range(ring.order):
         for p in power_orbit(ring, r):

@@ -42,6 +42,9 @@ from .constructions import (
 )
 from .ideals import (
     HyperIdeal,
+    _residue_pair,
+    _residue_step,
+    _scale,
     alpha_integral_violation,
     alpha_prime_violation,
     alpha_radical,
@@ -450,7 +453,7 @@ def _absorbs(tag, subject, twist=None, ideal=False):
     def recheck(inst, witness):
         ring, els = subject(inst)
         if witness[0] == "not_hyperideal":
-            return len(witness) == 2 and hyperideal_violation(ring, els) is not None
+            return len(witness) == 2 and _names_violation(ring, els, witness[1])
         amap = twist(inst).map if twist else None
         return len(witness) == 3 and _pair_holds(ring, els, amap, *witness[1:])
 
@@ -469,9 +472,14 @@ def _is_ideal(subject):
         return (True, None) if bad is None else (False, ("not_hyperideal", bad))
 
     def recheck(inst, witness):
-        return len(witness) == 2 and hyperideal_violation(*subject(inst)) is not None
+        return len(witness) == 2 and _names_violation(*subject(inst), witness[1])
 
     return Claim(("not_hyperideal",), conclude, recheck)
+
+
+def _names_violation(ring, els, bad):
+    """``bad`` is the first violated closure law of the set."""
+    return bad is not None and bad == hyperideal_violation(ring, els)
 
 
 def _smallest(tag, elements):
@@ -713,7 +721,7 @@ def _t26_rhs(inst):
 _ONE_SIDE_FULL = Claim(
     ("sides",),
     lambda inst: (True, None) if _t26_rhs(inst) else (False, ("sides", "product_prime_but_factors_not")),
-    _sized(2, lambda inst, _witness: not _t26_rhs(inst)),
+    _sized(2, lambda inst, witness: witness[1] == "product_prime_but_factors_not" and not _t26_rhs(inst)),
 )
 
 
@@ -860,10 +868,34 @@ def _subideal_quotients(inst):
             yield sub.elements, quotient.ring, star, _quotient_image(quotient, els)
 
 
+def _subideal_pairs(inst):
+    """(S, the first alpha*-prime violation of I/S in R/S) per subideal
+    quotient of :func:`_subideal_quotients`.
+
+    On Z_n[M] with I = eZ_n and alpha = x -> kx, which keeps every sZ_n,
+    the subideals are the proper S = sZ_n with e | s, and R/S = Z_s[M mod s]
+    (whose g is gcd(g, s)), I/S = eZ_s and alpha* = x -> kx mod s, so the
+    quotients are not built.
+    """
+    ring, alpha = inst.ring, inst.alpha
+    e = _residue_step(ring, inst.ideal.elements)
+    k = None if e is None else _scale(alpha)
+    if k is None:
+        for sub, qring, star, image in _subideal_quotients(inst):
+            yield sub, alpha_prime_violation(qring, image, star)
+        return
+    n = ring.order
+    g = gcd(n, *ring.hyp[1][1])
+    for sub in enumerate_hyperideals(ring):
+        s = n // len(sub)
+        if sub.proper and s % e == 0:
+            star = [k * x % s for x in range(s)]
+            yield sub.elements, _residue_pair(s, gcd(g, s), e, star, False)
+
+
 def _c24(inst):
     lhs_pair = alpha_prime_violation(inst.ring, inst.ideal, inst.alpha)
-    for sub, qring, star, image in _subideal_quotients(inst):
-        rhs_pair = alpha_prime_violation(qring, image, star)
+    for sub, rhs_pair in _subideal_pairs(inst):
         if (lhs_pair is None) != (rhs_pair is None):
             side = "quotient_pair" if lhs_pair is None else "pair"
             return False, ("subideal", tuple(sorted(sub)), side, rhs_pair or lhs_pair)

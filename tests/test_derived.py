@@ -10,9 +10,11 @@ and random hyperideals: full validation accepts the trusted tables with
 the same property record, every box passes the closure checks, and every
 derived map is good.  The α-prime scan that the computed product backend
 runs on the factors of a box returns the pair of the full scan on the
-table backend.  The hyperideals, good endomorphisms, product sets,
-residuals and ideal-pair rows of a residue ring come from closed forms,
-which must equal the search on the same tables.
+table backend.  The property record, hyperideal test, quotients,
+hyperideals, good endomorphisms, product sets, C-status, residuals,
+ideal-pair rows, alpha-prime pairs, alpha-radicals and T24's quotient
+pairs of a residue ring come from closed forms, which must equal the
+search on the same tables.
 """
 
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperring import (
     Homomorphism,
+    HyperIdeal,
     RawRing,
     enumerate_endomorphisms,
     enumerate_hyperideals,
@@ -36,9 +39,17 @@ from hyperring import (
 )
 from hyperring.constructions import _derived_product_props
 from hyperring import verifier
-from hyperring.core import trusted_ring
+from hyperring.core import FLAVOR_WEAK, trusted_ring
 from hyperring.errors import CapExceeded, NotAHyperideal
-from hyperring.ideals import _alpha_prime_violation, hyperideal_violation, product_set_closure
+from hyperring.ideals import (
+    C_NO,
+    C_UNKNOWN,
+    _alpha_prime_violation,
+    _alpha_radical,
+    hyperideal_violation,
+    is_c_hyperideal,
+    product_set_closure,
+)
 from hyperring.morphisms import _endo_name
 from hyperring.corpus import (
     fixture_even_multipliers,
@@ -57,10 +68,25 @@ FIXTURES = (
 
 
 @st.composite
-def residue_rings(draw, max_order=12):
+def residue_rings(draw, max_order=12, max_multipliers=3):
     n = draw(st.integers(2, max_order))
-    multipliers = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+    multipliers = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=max_multipliers))
     return make_zn_multiplier_ring(n, sorted(multipliers))
+
+
+@st.composite
+def residue_maps(draw, kinds=("endo", "scale", "table")):
+    """A residue ring and a self-map of its carrier: a good endomorphism,
+    a scale map x -> kx that need not be good, or any table."""
+    ring = draw(residue_rings(max_order=16))
+    n = ring.order
+    kind = draw(st.sampled_from(kinds))
+    if kind == "endo":
+        return ring, draw(st.sampled_from(enumerate_endomorphisms(ring))).map
+    if kind == "scale":
+        k = draw(st.integers(0, n - 1))
+        return ring, tuple(k * x % n for x in range(n))
+    return ring, tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
 
 
 def rings(max_order=12):
@@ -90,10 +116,23 @@ def assert_good(endo):
 
 
 class TestResidueRing:
+    # The property record comes from a formula; the scan and validation are
+    # the reference.
     @settings(max_examples=80, deadline=None)
-    @given(residue_rings(max_order=16))
+    @given(residue_rings(max_order=20, max_multipliers=4))
+    @example(make_zn_multiplier_ring(3, [0, 1, 2]))
+    @example(make_zn_multiplier_ring(9, [2, 5]))
     def test_tables_pass_full_validation_with_same_props(self, ring):
         assert structure_properties(ring) == ring.props == revalidated(ring).props
+
+    def test_props_by_formula(self):
+        # Z3[0,1,2] has M + M = 2M, yet 1 o (1 + 2) = {0} while
+        # 1 o 1 + 1 o 2 = Z_3.  Its unit multipliers 1 and 2 are their own
+        # inverses; mod 9, 2 and 5 are each other's.
+        z3, z9 = make_zn_multiplier_ring(3, [0, 1, 2]), make_zn_multiplier_ring(9, [2, 5])
+        assert not z3.props.strongly_distributive
+        assert (z3.props.identity, z3.props.identity_flavor) == (1, FLAVOR_WEAK)
+        assert (z9.props.identity, z9.props.identity_flavor) == (2, FLAVOR_WEAK)
 
 
 def searched(ring):
@@ -150,6 +189,76 @@ class TestResidueClosedForms:
                 (s, r.elements) for s, r in verifier._distinct_residuals(copy, ideal.elements)
             ]
         assert verifier._ideal_pairs(ring) == verifier._ideal_pairs(copy)
+
+    @settings(max_examples=150, deadline=None)
+    @given(residue_rings(max_order=16), st.data())
+    def test_hyperideal_violations_match_the_search(self, ring, data):
+        copy = searched(ring)
+        subsets = [i.elements for i in enumerate_hyperideals(ring)]
+        subsets.append(data.draw(st.frozensets(st.integers(0, ring.order - 1))))
+        for subset in subsets:
+            assert hyperideal_violation(ring, subset) == hyperideal_violation(copy, subset)
+
+    # A drawn table can move 0 outside the ideal: on Z4[1], (1, 0) is the
+    # first pair for 2Z_4 with alpha(0) = 1.  The zero map has every
+    # element in its alpha-radical.
+    @settings(max_examples=300, deadline=None)
+    @given(residue_maps())
+    @example((make_zn_multiplier_ring(4, [1]), (1, 0, 0, 0)))
+    @example((make_zn_multiplier_ring(4, [1]), (0, 0, 0, 0)))
+    def test_alpha_prime_pairs_and_radicals_match_the_search(self, case):
+        ring, table = case
+        copy = searched(ring)
+        alpha, twin = (Homomorphism(r, r, table, "drawn") for r in (ring, copy))
+        for ideal in enumerate_hyperideals(ring):
+            els = ideal.elements
+            for mirrored in (False, True):
+                assert _alpha_prime_violation(ring, els, alpha, mirrored) == _alpha_prime_violation(
+                    copy, els, twin, mirrored
+                ), (els, mirrored)
+            assert _alpha_radical(ring, els, alpha) == _alpha_radical(copy, els, twin), els
+
+    @settings(max_examples=150, deadline=None)
+    @given(residue_rings(max_order=16), st.integers(1, 300), st.integers(1, 3000))
+    @example(make_zn_multiplier_ring(8, [1, 2]), 25, 200)
+    @example(make_zn_multiplier_ring(12, [2, 3]), 4096, 500_000)
+    def test_c_status_matches_the_search(self, ring, max_sets, max_ops):
+        # Under caps the search can leave unknown what the formula decides.
+        copy = searched(ring)
+        for ideal in enumerate_hyperideals(ring):
+            els = ideal.elements
+            assert is_c_hyperideal(ring, els) == is_c_hyperideal(copy, els)
+            got = is_c_hyperideal(ring, els, max_sets, max_ops)
+            expected = is_c_hyperideal(copy, els, max_sets, max_ops)
+            assert got == expected or (expected, got) == (C_UNKNOWN, C_NO)
+
+    # T24 holds for every scale map on a residue ring, good or not; a wrong
+    # R/S, I/S or alpha* on the formula's side makes it fail there.
+    @settings(max_examples=200, deadline=None)
+    @given(residue_maps(kinds=("endo", "scale")))
+    def test_subideal_quotient_pairs_match_the_search(self, case):
+        ring, table = case
+        copy = searched(ring)
+        alpha, twin = (Homomorphism(r, r, table, "drawn") for r in (ring, copy))
+        kind = verifier.KIND_RING_ALPHA_IDEAL
+        for ideal in proper_hyperideals(ring):
+            twin_ideal = HyperIdeal(copy, ideal.elements, True)
+            got = verifier._c24(verifier.Instance("drawn", kind, ring, ideal=ideal, alpha=alpha))
+            ref = verifier._c24(verifier.Instance("drawn", kind, copy, ideal=twin_ideal, alpha=twin))
+            assert got == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(residue_rings(max_order=16))
+    def test_quotients_match_the_search(self, ring):
+        copy = searched(ring)
+        for ideal in proper_hyperideals(ring):
+            got = quotient_ring(ring, ideal)
+            ref = quotient_ring(copy, HyperIdeal(copy, ideal.elements, True))
+            assert got.cosets == ref.cosets
+            assert (got.projection.map, got.projection.name) == (ref.projection.map, ref.projection.name)
+            assert got.projection.source is ring and got.projection.target is got.ring
+            fields = ("name", "tags", "order", "zero", "add", "neg", "hyp", "props")
+            assert [getattr(got.ring, f) for f in fields] == [getattr(ref.ring, f) for f in fields]
 
     @pytest.mark.parametrize("enumerate_", (enumerate_hyperideals, enumerate_endomorphisms))
     def test_cap_comes_before_the_formula(self, enumerate_):

@@ -61,7 +61,7 @@ def exercise(ring):
 
 
 def test_every_cache_outside_the_corpus_is_a_ring_memo():
-    assert len(MEMOIZED) == 22
+    assert len(MEMOIZED) == 23
     assert verifier.catalog not in MEMOIZED
 
 
@@ -124,6 +124,7 @@ def memo_calls(ring):
         (ideals.prime_ideals, (ring,), {}),
         (ideals.prime_ideals, (ring, DEFAULT_ENUM_CAP), {}),
         (ideals._zero_divisors, (ring,), {}),
+        (ideals._residue_radicals, (ring,), {}),
         (morphisms.identity_endomorphism, (ring,), {}),
         (enumerate_endomorphisms, (ring,), {}),
         (enumerate_endomorphisms, (ring,), {"max_order": DEFAULT_ENUM_CAP}),

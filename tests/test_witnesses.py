@@ -220,14 +220,12 @@ def _shift(witness, offset):
     return witness
 
 
-# These witnesses name no element that their recheck looks at.
-NO_ELEMENTS = {"not_hyperideal", "sides"}
-
-
 @pytest.mark.parametrize("theorem", catalog(), ids=lambda t: t.tid)
 def test_out_of_carrier_witnesses_do_not_reverify(conclusions, theorem):
+    # A witness that names no element, such as T26's sides, is unmoved by
+    # the shift; test_bogus_fields_do_not_reverify covers its field.
     for inst, ok, witness in conclusions[theorem.tid]:
-        if ok is not False or witness[0] in NO_ELEMENTS:
+        if ok is not False or _shift(witness, 1) == witness:
             continue
         for offset in (-1000, 1000):
             assert not reverify_witness(inst, theorem, _shift(witness, offset)), (inst.uid, witness)
@@ -327,6 +325,20 @@ def test_misshapen_witnesses_on_r6_do_not_reverify(inst):
     # The fullness witness names the ideal itself.
     assert verifier._c16(inst) == (False, ("fullness", (0, 3)))
     assert reverify_witness(inst, by_id["T16"], ("fullness", (0, 3)))
+
+
+def test_bogus_fields_do_not_reverify(conclusions, inst):
+    # Each recheck compares its field with the violation it names.
+    bad = hyperideal_violation(inst.ring, {1})
+    for claim in (verifier._is_ideal(lambda i: (i.ring, frozenset({1}))),
+                  verifier._ideal_absorbs(lambda i: (i.ring, frozenset({1})), lambda i: i.alpha)):
+        assert claim.recheck(inst, ("not_hyperideal", bad))
+        for field in (("empty",), ("absorb_left", 0, 1), "anything", None):
+            assert not claim.recheck(inst, ("not_hyperideal", field)), field
+    t26 = next(t for t in catalog() if t.tid == "T26")
+    sides = next(i for i, _ok, _w in conclusions["T26"] if i.uid == "(Z2[1]xZ3[1])|a=(zero,zero)|I1=0|I2=0")
+    assert reverify_witness(sides, t26, ("sides", "product_prime_but_factors_not"))
+    assert not reverify_witness(sides, t26, ("sides", "anything"))
 
 
 def test_containment_shapes(inst):
