@@ -19,6 +19,7 @@ the same instances as a cached tuple, whose rings keep their memos.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -202,18 +203,21 @@ def corpus_rings(config: CorpusConfig = DEFAULT_CONFIG) -> tuple:
 
 
 def _named(config: CorpusConfig) -> set:
-    """The names of the rings that the hom and product sections use."""
-    return set(config.hom_ring_names).union(*config.product_pair_names)
+    """The names of the rings that the enabled hom and product sections use."""
+    homs = config.hom_ring_names if config.include_homs else ()
+    return set(homs).union(*(config.product_pair_names if config.include_products else ()))
 
 
 def _released(rings, config: CorpusConfig):
     """``rings``, each released once the stream has moved past it, unless a
-    later section names it."""
+    later section names it.  Freed memo rows stay in CPython's free lists,
+    which only a full collection empties: one runs after the last ring."""
     named = _named(config)
     for ring in rings:
         yield ring
         if ring.name not in named:
             _release(ring)
+    gc.collect()
 
 
 def _release(ring: HyperRing) -> None:

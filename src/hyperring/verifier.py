@@ -43,6 +43,7 @@ from .constructions import (
 from .ideals import (
     HyperIdeal,
     _residue_pair,
+    _residue_radicals,
     _residue_step,
     _scale,
     alpha_integral_violation,
@@ -622,6 +623,25 @@ def _image_mod_kernel(inst):
     return quotient.ring, _quotient_image(quotient, inst.ideal.elements).elements
 
 
+_QUOTIENT_PAIRS = _absorbs("quotient_pair", _image_mod_kernel)
+
+
+def _kernel_quotient_pair(inst):
+    """The quotient side of T21.  On Z_n[M] with alpha = x -> kx, ker(alpha)
+    is cZ_n with c = n / gcd(n, k); when it lies in the proper I = dZ_n
+    (1 < d | c), R/ker(alpha) = Z_c[M mod c] and I/ker(alpha) = dZ_c, so the
+    prime pair comes from the alpha-prime form with the identity table."""
+    ring = inst.ring
+    d = _residue_step(ring, inst.ideal.elements)
+    k = None if d is None else _scale(inst.alpha)
+    if k is not None:
+        c = ring.order // gcd(ring.order, k)
+        if 1 < d and c % d == 0:
+            pair = _residue_pair(c, gcd(c, *ring.hyp[1][1]), d, range(c), False)
+            return (True, None) if pair is None else (False, ("quotient_pair", *pair))
+    return _QUOTIENT_PAIRS.conclude(inst)
+
+
 def _cylinder(inst):
     """I1 x R2 in the product."""
     product = inst.product
@@ -782,6 +802,9 @@ def _r06(inst, witness):
 
 def _c15(inst):
     ring, alpha = inst.ring, inst.alpha
+    k = _scale(alpha) if "zn_multiplier" in ring.tags else None
+    if k is not None:
+        return _residue_c15(ring, alpha, k)
     radicals = {}
     outer = {}  # (rad(A), rad(B)) -> rad(rad(A) + rad(B)); ideal pairs repeat radical pairs
 
@@ -802,6 +825,34 @@ def _c15(inst):
                 outer[ra, rb] = rad(set_sum(ring, ra, rb))
             if not rad(plus) <= outer[ra, rb]:
                 return False, ("sum_law", tuple(sorted(ea)), tuple(sorted(eb)))
+    return True, None
+
+
+def _residue_c15(ring, alpha, k):
+    """On Z_n[M] with alpha = x -> kx, every alpha-radical is an ideal tZ_n:
+    q | gcd(p + {n}) for a power p of x exactly when every prime of q that
+    does not divide g divides x.  sZ_n lies in tZ_n exactly when t | s, so
+    the laws compare steps; a product I o J that is no ideal keeps the sets.
+    """
+    n = ring.order
+    table = _residue_radicals(ring)
+    radical = {t: table[t // gcd(t, k)] for t in table}  # t -> rad(tZ_n)
+    step = {t: n // len(r) for t, r in radical.items()}
+    ideal_step = {i.elements: n // len(i) for i in enumerate_hyperideals(ring)}
+    for ea, eb, prod, _plus, _meet in _ideal_pairs(ring):
+        d, e = ideal_step[ea], ideal_step[eb]
+        r_d, r_e, m = step[d], step[e], lcm(d, e)
+        if d % e == 0 and r_d % r_e:
+            return False, ("monotone", tuple(sorted(ea)), tuple(sorted(eb)))
+        p = ideal_step.get(prod)
+        if p is None:
+            law = alpha_radical(ring, prod, alpha) == radical[m] == radical[d] & radical[e]
+        else:
+            law = step[p] == step[m] == lcm(r_d, r_e)
+        if not law:
+            return False, ("product_law", tuple(sorted(ea)), tuple(sorted(eb)))
+        if step[gcd(d, e)] % step[gcd(r_d, r_e)]:
+            return False, ("sum_law", tuple(sorted(ea)), tuple(sorted(eb)))
     return True, None
 
 
@@ -875,7 +926,8 @@ def _subideal_pairs(inst):
     On Z_n[M] with I = eZ_n and alpha = x -> kx, which keeps every sZ_n,
     the subideals are the proper S = sZ_n with e | s, and R/S = Z_s[M mod s]
     (whose g is gcd(g, s)), I/S = eZ_s and alpha* = x -> kx mod s, so the
-    quotients are not built.
+    quotients are not built; alpha's own table stands for alpha*, since
+    kx mod n mod e = kx mod s mod e when e | s | n.
     """
     ring, alpha = inst.ring, inst.alpha
     e = _residue_step(ring, inst.ideal.elements)
@@ -889,8 +941,7 @@ def _subideal_pairs(inst):
     for sub in enumerate_hyperideals(ring):
         s = n // len(sub)
         if sub.proper and s % e == 0:
-            star = [k * x % s for x in range(s)]
-            yield sub.elements, _residue_pair(s, gcd(g, s), e, star, False)
+            yield sub.elements, _residue_pair(s, gcd(g, s), e, alpha.map, False)
 
 
 def _c24(inst):
@@ -1170,7 +1221,10 @@ def catalog() -> tuple:
                 ("alpha preserves kernel", h_alpha_preserves_kernel),
                 _PROPER,
             ),
-            _iff(_absorbs("pair", _ideal, _alpha), _absorbs("quotient_pair", _image_mod_kernel)),
+            _iff(
+                _absorbs("pair", _ideal, _alpha),
+                Claim(_QUOTIENT_PAIRS.tags, _kernel_quotient_pair, _QUOTIENT_PAIRS.recheck),
+            ),
         ),
         _mk(
             "T22", rai,

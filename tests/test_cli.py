@@ -325,6 +325,29 @@ class TestVerify:
         assert code == EXIT_OK
         assert "unledgered_failures=0" in text
 
+    def test_t21_fails_off_the_default_corpus_with_a_bijective_alpha(self, tmp_path):
+        # On Z2 x Z2 the swap of the factors is bijective and does not keep
+        # I = {0, 2}: 1 o 2 = {0} lies in I, 1 lies outside and alpha(2) = 1
+        # too, while ker(alpha) = {0} and R / {0} keeps I prime.
+        z2 = tmp_path / "z2.json"
+        z2.write_text(json.dumps({"kind": "zn_multiplier", "modulus": 2, "multipliers": [1], "name": "Z2"}))
+        code, table = run_cli("product", "--ring", str(z2), "--ring2", str(z2))
+        assert code == EXIT_OK and json.loads(table)["kind"] == "table"
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([{"ring": json.loads(table), "alpha": "map:0,2,1,3", "ideal": "0,2"}]))
+        report = tmp_path / "report.json"
+        code, text = run_cli("verify", "--corpus", str(path), "--theorems", "T21", "--report", str(report))
+        assert code == EXIT_OK
+        assert "T21 holds=0 fails=1" in text
+        [record] = json.loads(report.read_text())
+        assert (record["status"], record["witness"]) == ("fails", ["pair", 1, 2])
+        [instance] = _load_corpus_file(str(path))
+        t21 = next(t for t in verifier.catalog() if t.tid == "T21")
+        assert verifier.reverify_witness(instance, t21, ("pair", 1, 2)) is True
+        # T21 is in the ledger, so --strict still passes.
+        code, text = run_cli("verify", "--corpus", str(path), "--theorems", "T21", "--strict")
+        assert code == EXIT_OK and "unledgered_failures=0" in text
+
     def test_theorem_selection(self, tmp_path):
         corpus = [
             {

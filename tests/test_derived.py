@@ -12,9 +12,9 @@ derived map is good.  The α-prime scan that the computed product backend
 runs on the factors of a box returns the pair of the full scan on the
 table backend.  The property record, hyperideal test, quotients,
 hyperideals, good endomorphisms, product sets, C-status, residuals,
-ideal-pair rows, alpha-prime pairs, alpha-radicals and T24's quotient
-pairs of a residue ring come from closed forms, which must equal the
-search on the same tables.
+ideal-pair rows, alpha-prime pairs, alpha-radicals, T15's radical laws
+and T21's and T24's quotient pairs of a residue ring come from closed
+forms, which must equal the search on the same tables.
 """
 
 import pytest
@@ -40,7 +40,7 @@ from hyperring import (
 from hyperring.constructions import _derived_product_props
 from hyperring import verifier
 from hyperring.core import FLAVOR_WEAK, trusted_ring
-from hyperring.errors import CapExceeded, NotAHyperideal
+from hyperring.errors import CapExceeded, HyperRingError, NotAHyperideal
 from hyperring.ideals import (
     C_NO,
     C_UNKNOWN,
@@ -246,6 +246,45 @@ class TestResidueClosedForms:
             got = verifier._c24(verifier.Instance("drawn", kind, ring, ideal=ideal, alpha=alpha))
             ref = verifier._c24(verifier.Instance("drawn", kind, copy, ideal=twin_ideal, alpha=twin))
             assert got == ref
+
+    # T15 holds for every scale map on a residue ring; a wrong step law makes
+    # it fail on the formula's side.  On Z12[2,3], 1Z o 1Z = 2Z_12 u 3Z_12 is
+    # no ideal, so that product law compares sets.
+    @settings(max_examples=200, deadline=None)
+    @given(residue_maps(kinds=("endo", "scale")))
+    @example((make_zn_multiplier_ring(12, [2, 3]), tuple(2 * x % 12 for x in range(12))))
+    def test_alpha_radical_laws_match_the_search(self, case):
+        ring, table = case
+        copy = searched(ring)
+        alpha, twin = (Homomorphism(r, r, table, "drawn") for r in (ring, copy))
+        kind = verifier.KIND_RING_ALPHA
+        got = verifier._c15(verifier.Instance("drawn", kind, ring, alpha=alpha))
+        assert got == verifier._c15(verifier.Instance("drawn", kind, copy, alpha=twin))
+
+    # On Z12[1,5], x -> 2x is not good and its kernel 6Z_12 lies in 2Z_12,
+    # 3Z_12 and 6Z_12 but not in 4Z_12; the zero map's kernel is the ring.
+    # Those keep the search, whose outcome may be an error.
+    @settings(max_examples=200, deadline=None)
+    @given(residue_maps(kinds=("endo", "scale")))
+    @example((make_zn_multiplier_ring(12, [1, 5]), tuple(2 * x % 12 for x in range(12))))
+    @example((make_zn_multiplier_ring(6, [1]), (0,) * 6))
+    def test_kernel_quotient_pairs_match_the_search(self, case):
+        ring, table = case
+        copy = searched(ring)
+        alpha, twin = (Homomorphism(r, r, table, "drawn") for r in (ring, copy))
+        kind = verifier.KIND_RING_ALPHA_IDEAL
+
+        def outcome(inst):
+            try:
+                return verifier._kernel_quotient_pair(inst)
+            except HyperRingError as exc:
+                return type(exc)
+
+        for ideal in proper_hyperideals(ring):
+            twin_ideal = HyperIdeal(copy, ideal.elements, True)
+            got = outcome(verifier.Instance("drawn", kind, ring, ideal=ideal, alpha=alpha))
+            ref = outcome(verifier.Instance("drawn", kind, copy, ideal=twin_ideal, alpha=twin))
+            assert got == ref, ideal.elements
 
     @settings(max_examples=100, deadline=None)
     @given(residue_rings(max_order=16))
