@@ -23,7 +23,7 @@ from .core import (
     make_zn_multiplier_ring,
     validate_structure,
 )
-from .corpus import DEFAULT_CONFIG, iter_corpus, worked_example_records
+from .corpus import DEFAULT_CONFIG, iter_corpus, iter_suite_by_class, worked_example_records
 from .errors import CapExceeded, HyperRingError, ValidationError
 from .ideals import (
     DEFAULT_ENUM_CAP,
@@ -50,7 +50,6 @@ from .verifier import (
     STATUS_NOT_MET,
     STATUS_UNDECIDED,
     catalog_ids,
-    iter_suite,
     ledgered_theorems,
     write_report,
 )
@@ -465,13 +464,14 @@ def _load_corpus_file(path: str):
 
 
 def _verify_records(corpus: str, selection):
-    """The suite's records, then (on the whole default corpus) the worked
-    examples; nothing is read or built before the first pull, after the
-    report opens, and the default corpus is built one ring at a time."""
+    """The suite's records, each class of isomorphic residue rings decided
+    once, then (on the whole default corpus) the worked examples; nothing
+    is read or built before the first pull, after the report opens, and the
+    default corpus is built one ring at a time."""
     if corpus != "default":
-        yield from iter_suite(_load_corpus_file(corpus), selection)
+        yield from iter_suite_by_class(_load_corpus_file(corpus), selection)
         return
-    yield from iter_suite(iter_corpus(DEFAULT_CONFIG), selection)
+    yield from iter_suite_by_class(iter_corpus(DEFAULT_CONFIG), selection)
     if selection is None:
         yield from worked_example_records()
 
@@ -655,16 +655,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     """Run one subcommand; a parse failure exits 2 and any other package
-    error exits 1, each with a one-line message and no traceback."""
+    error exits 1, each with a one-line message and no traceback.  An output
+    closed by its reader exits 1 with a line on stderr."""
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()
+        return code
     except ParseFailure as exc:
         out.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except HyperRingError as exc:
         out.write(f"invalid: {exc}\n")
+        return EXIT_SEMANTIC
+    except BrokenPipeError:
+        if out is sys.stdout:  # what is still buffered goes nowhere at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("error: the output was closed before it was complete\n")
         return EXIT_SEMANTIC
 
 

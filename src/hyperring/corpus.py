@@ -47,6 +47,7 @@ from .verifier import (
     STATUS_FAILS,
     STATUS_HOLDS,
     VerdictReport,
+    iter_suite,
 )
 
 
@@ -446,6 +447,75 @@ def _instances(config: CorpusConfig, rings):
                     left_alpha=id_left,
                     right_alpha=id_right,
                 )
+
+
+def iter_suite_by_class(corpus, selection=None):
+    """The records of :func:`iter_suite` over ``corpus``, with each class of
+    isomorphic residue rings decided once.
+
+    For a unit u of Z_n, x -> ux maps Z_n[M] onto Z_n[u^-1 M], since
+    u(a*m*b) = ua * (u^-1 m) * ub.  It fixes every hyperideal dZ_n and
+    commutes with every good endomorphism, a scale map, so it sends an
+    instance to the instance of the other ring with the same endomorphism
+    table and ideal set; the corpus lists both in the same place.  A class
+    is keyed by n and the least sorted u*M.  The first ring of a class keeps
+    the rows of its records whose witness names no element (holds, and
+    hypotheses not met or undecided); a later ring takes those rows, place by
+    place, while its components equal the first ring's, and checks every
+    other record on its own instance, so each fails witness is still found
+    and re-verified there.  The rows are kept for one modulus at a time, one
+    bytearray of interned ids per class, and no ring is held.
+    """
+    iter_suite((), selection)  # an unknown id raises before any record
+    modulus = ring = None
+    for instance in corpus:
+        if (instance.kind not in (KIND_RING_ALPHA, KIND_RING_IDEAL, KIND_RING_ALPHA_IDEAL)
+                or "zn_multiplier" not in instance.ring.tags):
+            modulus = ring = stored = classes = parts = rows = table = None
+            yield from iter_suite((instance,), selection)
+            continue
+        if instance.ring is not ring:
+            ring = instance.ring
+            n = ring.order
+            if n != modulus:
+                modulus, classes, parts, rows, table = n, {}, {}, {}, []
+                units = [u for u in range(1, n) if any(u * v % n == 1 for v in range(n))]
+            key = min(tuple(sorted(u * m % n for m in ring.hyp[1][1])) for u in units)
+            stored = classes.get(key)
+            recording = stored is None
+            if recording:
+                stored = classes[key] = bytearray()
+            at = 0
+        alpha, ideal = instance.alpha, instance.ideal
+        components = (instance.kind, alpha if alpha is None else alpha.map,
+                      ideal if ideal is None else ideal.elements)
+        part = parts.setdefault(components, len(parts))
+        if recording:
+            ids = []
+            for verdict in iter_suite((instance,), selection):
+                yield verdict
+                witness = verdict.witness
+                copied = witness is None or (isinstance(witness, tuple) and len(witness) == 2  # as in write_report
+                                             and witness[0] == "hypothesis" and isinstance(witness[1], str))
+                row = verdict[1:] if copied else (verdict.theorem,)  # a selection of one check
+                rid = rows.get(row)
+                if rid is None:
+                    rid = rows[row] = len(table)
+                    table.append(row)
+                ids.append(rid)
+            if max((part, *ids)) > 255:
+                recording, stored = False, None  # the rest of this ring and class is checked
+            else:
+                stored.extend((part, len(ids), *ids))
+        elif stored is not None and at < len(stored) and stored[at] == part:
+            width = stored[at + 1]
+            for rid in stored[at + 2:at + 2 + width]:
+                row = table[rid]
+                yield VerdictReport(instance.uid, *row) if len(row) > 1 else next(iter_suite((instance,), row))
+            at += 2 + width
+        else:
+            stored = None  # the components part from the first ring's: check the rest
+            yield from iter_suite((instance,), selection)
 
 
 # ---------------------------------------------------------------------------

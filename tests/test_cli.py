@@ -2,11 +2,16 @@ import errno
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from collections import Counter
 
 import pytest
 
+import hyperring
 from hyperring import cli, verifier
 from hyperring.cli import (
     EXIT_OK,
@@ -458,3 +463,67 @@ class TestCorpusCommand:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "9bc0967f9c4d4f2788dfb90d01f4a66d544e5b279a13781a3b4112b6eb2a670d"
         )
+
+
+class TestIsomorphicResidueRings:
+    def test_a_class_mate_with_other_components_is_checked_on_its_own(self, tmp_path):
+        # 3 is a unit mod 8, so x -> 3x maps Z8[1] onto Z8[3]; but the second
+        # entry carries the ideal 4Z8, which is not prime, where the first
+        # carries the prime 2Z8.
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([
+            {"ring": {"kind": "zn_multiplier", "modulus": 8, "multipliers": [1]}, "ideal": "gen:2", "alpha": "id"},
+            {"ring": {"kind": "zn_multiplier", "modulus": 8, "multipliers": [3]}, "ideal": "gen:4", "alpha": "id"},
+        ]))
+        report = tmp_path / "report.json"
+        code, text = run_cli("verify", "--corpus", str(path), "--report", str(report))
+        assert code == EXIT_OK
+        assert "T01 holds=1 fails=0 not_met=1 undecided=0\n" in text
+        assert report.read_text() == render_report(run_suite(_load_corpus_file(str(path))))
+
+
+class _ClosedOutput:
+    def write(self, _text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+class TestClosedOutput:
+    MESSAGE = "error: the output was closed before it was complete\n"
+
+    def test_closed_output_exits_1_with_one_line_on_stderr(self, corpus_file, capsys):
+        assert main(["verify", "--corpus", corpus_file], out=_ClosedOutput()) == EXIT_SEMANTIC
+        assert capsys.readouterr().err == self.MESSAGE
+
+    def test_closed_output_keeps_the_finished_report(self, tmp_path, corpus_file, capsys):
+        report = tmp_path / "report.json"
+        code = main(["verify", "--corpus", corpus_file, "--report", str(report)], out=_ClosedOutput())
+        assert code == EXIT_SEMANTIC and capsys.readouterr().err == self.MESSAGE
+        assert report.read_text() == render_report(run_suite(_load_corpus_file(corpus_file)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.json", "report.json"]
+
+    def test_report_that_breaks_part_way_leaves_no_report(self, tmp_path, corpus_file, monkeypatch):
+        # A report path whose reader goes away (a named pipe) is a report
+        # that cannot be written; the partial file still goes.
+        def write_then_break(records, handle):
+            handle.write("[\n")
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(cli, "write_report", write_then_break)
+        report = tmp_path / "report.json"
+        code, text = run_cli("verify", "--corpus", corpus_file, "--report", str(report))
+        assert code == EXIT_PARSE
+        assert text == f"parse error: cannot write report {report}: Broken pipe\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
+
+    def test_reader_gone_before_the_summary_gives_no_traceback(self, corpus_file):
+        src = str(Path(hyperring.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "hyperring.cli", "verify", "--corpus", corpus_file],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+        proc.stdout.close()
+        _out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (EXIT_SEMANTIC, self.MESSAGE)

@@ -18,8 +18,10 @@ from hyperring.corpus import (
     fixture_weak_identity,
     generate_corpus,
     iter_corpus,
+    iter_suite_by_class,
     large_product,
 )
+from hyperring import verifier
 from hyperring.verifier import (
     KIND_PRODUCT,
     KIND_RING_ALPHA,
@@ -237,3 +239,78 @@ class TestStreaming:
             if enabled:
                 gc.enable()
         assert len(swept) > 100 and len(alive) > 30
+
+    def test_verify_by_class_frees_swept_rings_by_reference_count(self):
+        # The same stream as above, through the records of the first ring of
+        # each class kept for its isomorphic rings: the kept rows hold no ring.
+        config = CorpusConfig(modulus_min=2, modulus_max=7)
+        named = set(config.hom_ring_names).union(*config.product_pair_names)
+        fixtures = {fixture_weak_identity(), fixture_inclusion_only(),
+                    fixture_full_cell(), fixture_even_multipliers()}
+        swept = []
+
+        def watched(instances):
+            for inst in instances:
+                ring = inst.ring
+                if (inst.kind in (KIND_RING_ALPHA, KIND_RING_IDEAL, KIND_RING_ALPHA_IDEAL)
+                        and ring not in fixtures and ring.name not in named
+                        and not (swept and swept[-1]() is ring)):
+                    swept.append(weakref.ref(ring))
+                yield inst
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            alive = [sum(ref() is not None for ref in swept)
+                     for verdicts, _record in enumerate(iter_suite_by_class(watched(iter_corpus(config))), 1)
+                     if verdicts % 300 == 0]
+            assert max(alive) <= 1
+            assert [ref for ref in swept if ref() is not None] == []
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(swept) > 100 and len(alive) > 30
+
+
+def _rotated(config):
+    """The corpus of ``config`` with the run of instances of the i-th ring
+    rotated by i places, so that isomorphic rings list different components
+    at the same place."""
+    ring, run, count = None, [], 0
+    for inst in iter_corpus(config):
+        if inst.ring is not ring and run:
+            count += 1
+            yield from run[count % len(run):] + run[:count % len(run)]
+            run = []
+        ring = inst.ring
+        run.append(inst)
+    yield from run
+
+
+class TestByClass:
+    """Each class of isomorphic residue rings decided once, against every
+    ring decided on its own."""
+
+    SMALL = CorpusConfig(modulus_max=9)
+
+    @pytest.mark.parametrize("selection", [None, ("T04", "T11", "T21")], ids=["all", "three"])
+    @pytest.mark.parametrize("corpus", [iter_corpus, _rotated], ids=["swept", "rotated"])
+    def test_records_equal_the_direct_suite(self, corpus, selection, monkeypatch):
+        expected = list(iter_suite(corpus(self.SMALL), selection))
+        checked = []
+        real = verifier.check
+
+        def check(inst, theorem):
+            checked.append((inst.uid, theorem.tid))
+            return real(inst, theorem)
+
+        monkeypatch.setattr(verifier, "check", check)
+        assert list(iter_suite_by_class(corpus(self.SMALL), selection)) == expected
+        assert len(checked) < len(expected)
+        # every fails witness is found, and re-verified, on its own instance
+        fails = {(r.instance, r.theorem) for r in expected if r.status == "fails"}
+        assert fails and fails <= set(checked)
+
+    def test_unknown_theorem_id_raises_before_any_record(self):
+        with pytest.raises(ValueError):
+            next(iter_suite_by_class(iter_corpus(self.SMALL), ["T99"]))
